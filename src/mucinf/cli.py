@@ -20,7 +20,10 @@ from .suite import SuiteConfig, list_laws, run_suite
 
 def _default_seed() -> int:
     env = os.environ.get("MUC_CPINF_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"MUC_CPINF_SEED is not an integer: {env!r}") from None
 
 
 def _emit(payload, out_path, seed, tol):
@@ -96,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed if args.seed is not None else _default_seed()
     tol = args.tol
     try:
+        seed = args.seed if args.seed is not None else _default_seed()
         if args.command == "laws-run":
             models = tuple(args.model) if args.model \
                 else ("mat", "cplane", "fmat")

@@ -565,8 +565,7 @@ def env_axiom_trial(structure: EnvStructure, axiom: str, rng,
             k2 = equivalent_variant(rng, k1)
             expected = True
         else:
-            k2 = random_kraus(rng, _model_dim(m, k1.dom),
-                              _model_dim(m, k1.cod))
+            k2 = random_kraus(rng, m.interpret(k1.dom), m.interpret(k1.cod))
             expected = equiv_decide(k1, k2, tol)
         sides_equal = equiv_decide(env_factor(structure, k1),
                                    env_factor(structure, k2), tol)
@@ -606,10 +605,6 @@ def env_check(structure: EnvStructure, trials: int = 20,
     return reports
 
 
-def _model_dim(m: Model, expr: ObjectExpr) -> int:
-    return m.interpret(expr)
-
-
 def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
                      seed: Optional[int] = None, rng=None,
                      tol: float = 1e-9) -> dict:
@@ -635,7 +630,7 @@ def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
         else:
             failures.append({"check": "well_defined", "sample": i})
 
-        k2 = random_kraus(rng, _model_dim(m, k1.cod), None)
+        k2 = random_kraus(rng, m.interpret(k1.cod), None)
         lhs = transport(kraus_compose(k1, k2))
         rhs = kraus_compose(transport(k1), transport(k2))
         if equiv_decide(lhs, rhs, 1e-7):

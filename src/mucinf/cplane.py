@@ -89,6 +89,8 @@ class CplaneModel(Model):
     equal interpretation, so ``deviation`` is the endpoint mismatch.
     """
 
+    base = "cplane"
+
     def __init__(self, name: str = "cplane"):
         self.name = name
 

@@ -37,10 +37,6 @@ class NotPSD(MucinfError):
     """A matrix expected to be positive semidefinite has a negative eigenvalue."""
 
 
-class NoConvergence(MucinfError):
-    """The eigensolver exhausted its sweep budget."""
-
-
 class SpaceMismatch(MucinfError):
     """Sparse matrices over incompatible finiteness spaces were combined."""
 

@@ -266,6 +266,15 @@ def fmat_dagger(m: SparseMatrix) -> SparseMatrix:
                         tuple((y, x, v.conjugate()) for x, y, v in m.entries))
 
 
+def from_dense(dense: np.ndarray, src: FinitenessSpace,
+               tgt: FinitenessSpace) -> SparseMatrix:
+    """A dense array between finite spaces (column convention) on their
+    label enumerations; ``SparseMatrix`` drops the near-zero entries."""
+    xs, ys = src.index.labels, tgt.index.labels
+    return SparseMatrix(src, tgt, tuple((xs[j], ys[i], v) for (i, j), v
+                                        in np.ndenumerate(dense)))
+
+
 def include_mat(dense: np.ndarray, src_labels=None, tgt_labels=None
                 ) -> SparseMatrix:
     """The inclusion functor on morphisms: a finite matrix becomes a
@@ -276,11 +285,8 @@ def include_mat(dense: np.ndarray, src_labels=None, tgt_labels=None
     tgt_labels = tuple(range(rows)) if tgt_labels is None else tuple(tgt_labels)
     if len(src_labels) != cols or len(tgt_labels) != rows:
         raise ShapeMismatch("label count does not match matrix shape")
-    src = finite_space(src_labels)
-    tgt = finite_space(tgt_labels)
-    entries = [(src_labels[j], tgt_labels[i], dense[i, j])
-               for i in range(rows) for j in range(cols)]
-    return SparseMatrix(src, tgt, tuple(entries))
+    return from_dense(dense, finite_space(src_labels),
+                      finite_space(tgt_labels))
 
 
 def to_dense(m: SparseMatrix) -> np.ndarray:
@@ -330,6 +336,8 @@ class FmatModel(Model):
     broken world without downward closure, for mutation testing only.
     """
 
+    base = "fmat"
+
     def __init__(self, name: str = "fmat", close_families: bool = True):
         self.name = name
         self.close_families = close_families
@@ -373,14 +381,7 @@ class FmatModel(Model):
             raise UnsupportedInModel("products of symbolic spaces")
         # go through the dense Kronecker product so the strict-inclusion
         # laws hold bit for bit, not merely within tolerance
-        dense = np.kron(to_dense(fp), to_dense(gp))
-        src_labels = src.index.labels
-        tgt_labels = tgt.index.labels
-        entries = [(src_labels[j], tgt_labels[i], dense[i, j])
-                   for i in range(dense.shape[0])
-                   for j in range(dense.shape[1])
-                   if abs(dense[i, j]) > SUPPORT_EPS]
-        return SparseMatrix(src, tgt, tuple(entries))
+        return from_dense(np.kron(to_dense(fp), to_dense(gp)), src, tgt)
 
     par_payload = tensor_payload
 
@@ -414,13 +415,7 @@ class FmatModel(Model):
                 raise UnsupportedInModel(
                     f"{name} would need a non-bijective relabelling")
             dense = np.eye(len(src.index.labels), dtype=complex)
-        src_labels = src.index.labels
-        tgt_labels = tgt.index.labels
-        entries = [(src_labels[j], tgt_labels[i], dense[i, j])
-                   for i in range(dense.shape[0])
-                   for j in range(dense.shape[1])
-                   if abs(dense[i, j]) > SUPPORT_EPS]
-        return SparseMatrix(src, tgt, tuple(entries))
+        return from_dense(dense, src, tgt)
 
     def deviation(self, f: Morphism, g: Morphism) -> float:
         a, b = f.payload.as_dict(), g.payload.as_dict()
@@ -474,15 +469,9 @@ class FmatModel(Model):
             raise TypingError("include expects a morphism of the dense model")
         dom = self.include_expr(f.dom)
         cod = self.include_expr(f.cod)
-        src, tgt = self.interpret(dom), self.interpret(cod)
-        src_labels = src.index.labels
-        tgt_labels = tgt.index.labels
-        dense = f.payload
-        entries = [(src_labels[j], tgt_labels[i], dense[i, j])
-                   for i in range(dense.shape[0])
-                   for j in range(dense.shape[1])]
         return Morphism(self.name, dom, cod,
-                        SparseMatrix(src, tgt, tuple(entries)))
+                        from_dense(f.payload, self.interpret(dom),
+                                   self.interpret(cod)))
 
 
 FMAT = FmatModel()

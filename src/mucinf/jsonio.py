@@ -15,6 +15,7 @@ Readers reject non-finite numbers.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import List
 
 import numpy as np
@@ -36,6 +37,13 @@ def _check_finite(x: float, what: str) -> float:
     return x
 
 
+def _dim(d: dict, key: str) -> int:
+    x = d[key]
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypingError(f"{key!r} must be an integer, got {x!r}")
+    return x
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     rows, cols = m.shape
     entries = [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
@@ -43,7 +51,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
+    rows, cols = _dim(d, "rows"), _dim(d, "cols")
     entries = d["entries"]
     if len(entries) != rows * cols:
         raise ShapeMismatch(
@@ -65,7 +73,7 @@ def channel_to_json(k: KrausMorphism) -> dict:
 
 
 def channel_from_json(d: dict) -> KrausMorphism:
-    a, b, u = int(d["dom"]), int(d["cod"]), int(d["ancilla"])
+    a, b, u = _dim(d, "dom"), _dim(d, "cod"), _dim(d, "ancilla")
     body_mat = matrix_from_json(d["body"])
     if body_mat.shape != (u * b, a):
         raise ShapeMismatch(
@@ -83,7 +91,7 @@ def choi_to_json(c: ChoiMatrix) -> dict:
 
 
 def choi_from_json(d: dict) -> ChoiMatrix:
-    return ChoiMatrix(matrix_from_json(d), int(d["a"]), int(d["b"]))
+    return ChoiMatrix(matrix_from_json(d), _dim(d, "a"), _dim(d, "b"))
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +126,16 @@ def _space_to_json(space: FinitenessSpace) -> dict:
             "B": _family_to_json(space.fam_b)}
 
 
+def _space_fields(d: dict) -> SimpleNamespace:
+    """The parts of a space description, not yet checked to be a perp pair."""
+    index = OMEGA if d["X"] == "omega" \
+        else FiniteIndex(tuple(_label(x) for x in d["X"]))
+    return SimpleNamespace(index=index, fam_a=_family_from_json(d["A"]),
+                           fam_b=_family_from_json(d["B"]))
+
+
 def _space_from_json(d: dict) -> FinitenessSpace:
-    if d["X"] == "omega":
-        index = OMEGA
-    else:
-        index = FiniteIndex(tuple(_label(x) for x in d["X"]))
-    return FinitenessSpace(index, _family_from_json(d["A"]),
-                           _family_from_json(d["B"]))
+    return FinitenessSpace(**vars(_space_fields(d)))
 
 
 def fmat_to_json(m: SparseMatrix) -> dict:
@@ -150,23 +161,13 @@ def fmat_check_report(d: dict) -> dict:
     """Granular validity report for a finiteness-matrix file: are the two
     space descriptions perp pairs, and is the support a finiteness relation?
     Never raises on invalid content; it reports instead."""
-    from types import SimpleNamespace
-
     from .fmat import check_finiteness_relation, check_finiteness_space
-
-    def parse_side(side):
-        raw = d[side]
-        index = OMEGA if raw["X"] == "omega" \
-            else FiniteIndex(tuple(_label(x) for x in raw["X"]))
-        fam_a = _family_from_json(raw["A"])
-        fam_b = _family_from_json(raw["B"])
-        return SimpleNamespace(index=index, fam_a=fam_a, fam_b=fam_b)
 
     out = {"src_space_valid": False, "tgt_space_valid": False,
            "relation_valid": False, "valid": False}
     try:
-        src = parse_side("src")
-        tgt = parse_side("tgt")
+        src = _space_fields(d["src"])
+        tgt = _space_fields(d["tgt"])
     except (TypingError, KeyError, ValueError) as exc:
         out["error"] = str(exc)
         return out

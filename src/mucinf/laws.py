@@ -79,14 +79,14 @@ class LawContext:
     # the unitary subcategory, presented by the donor model
     def donor_base(self) -> ObjectExpr:
         donor = self.model.unitary_donor
-        if donor.name == "cplane":
+        if donor.base == "cplane":
             return donor.random_object(self.rng, unitary=True)
         return Base(int(self.rng.integers(1, 4)))
 
     def donor_arrow(self):
         donor = self.model.unitary_donor
         a = self.donor_base()
-        b = a if donor.name == "cplane" else self.donor_base()
+        b = a if donor.base == "cplane" else self.donor_base()
         return a, b, donor.random_morphism(self.rng, a, b)
 
     def donor_structural(self, name: str, *args: ObjectExpr) -> Morphism:
@@ -559,7 +559,7 @@ def check_law(law_id: str, model: Model | str, objects=None, rng=None,
 
     law = get_law(law_id)
     m = get_model(model) if isinstance(model, str) else model
-    if m.name.split("!")[0] not in law.models and m.name not in law.models:
+    if m.base not in law.models:
         raise UnsupportedInModel(f"law {law_id} not available in {m.name}")
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DimensionOverflow, NoConvergence, NotHermitian,
-                     ShapeMismatch)
+from .errors import DimensionOverflow, NotHermitian, ShapeMismatch
 from .morphisms import Model, Morphism, register_model
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
@@ -112,54 +111,17 @@ def apply_channel(body: np.ndarray, ancilla_dim: int,
     return _freeze(np.einsum("ipa,aq,irq->pr", blocks, density, blocks.conj()))
 
 
-def hermitian_eig(h: np.ndarray, threshold: float = 1e-12,
-                  max_sweeps: int = 50):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eig(h: np.ndarray):
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted descending and unitary
     ``v`` whose columns are the matching eigenvectors, so that
-    ``h = v @ diag(w) @ v^`` up to the sweep threshold.
+    ``h = v @ diag(w) @ v^``.
     """
     h = np.asarray(h, dtype=complex)
     check_hermitian(h)
-    n = h.shape[0]
-    a = h.copy()
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(h), initial=0.0)))
-    for _ in range(max_sweeps):
-        off = 0.0
-        if n > 1:
-            off = max(abs(a[p, q]) for p in range(n) for q in range(p + 1, n))
-        if off <= threshold * scale:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                z = a[p, q]
-                if abs(z) <= 1e-300:
-                    continue
-                alpha = z / abs(z)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(z))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # columns, then rows, of the rotation in the (p, q) plane
-                ap = a[:, p] * c - a[:, q] * s * np.conj(alpha)
-                aq = a[:, p] * s * alpha + a[:, q] * c
-                a[:, p], a[:, q] = ap, aq
-                rp = a[p, :] * c - a[q, :] * s * alpha
-                rq = a[p, :] * s * np.conj(alpha) + a[q, :] * c
-                a[p, :], a[q, :] = rp, rq
-                vp = v[:, p] * c - v[:, q] * s * np.conj(alpha)
-                vq = v[:, p] * s * alpha + v[:, q] * c
-                v[:, p], v[:, q] = vp, vq
-    else:
-        raise NoConvergence(f"Jacobi sweeps exhausted ({max_sweeps})")
-    w = np.real(np.diag(a))
-    order = np.argsort(-w)
-    return w[order], _freeze(v[:, order])
+    w, v = np.linalg.eigh(h)
+    return w[::-1], _freeze(v[:, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +135,8 @@ class MatModel(Model):
     the suite's sensitivity can be tested against broken fixtures and must
     stay empty for the real model.
     """
+
+    base = "mat"
 
     def __init__(self, name: str = "mat", mutations=()):
         self.name = name

@@ -40,6 +40,9 @@ class Model:
     """
 
     name: str = "?"
+    # the family whose laws apply ("mat", "cplane" or "fmat"); every
+    # concrete class sets it, and a mutant inherits it from its class
+    base: str
 
     # --- interpretation -------------------------------------------------
     def interpret(self, expr: ObjectExpr) -> Any:

@@ -63,14 +63,14 @@ def _prop(entry_id: str, anchor: str, models=("mat",)):
 
 
 def _rand_kraus(model: Model, rng) -> cpinf.KrausMorphism:
-    if model.name.startswith("cplane"):
+    if model.base == "cplane":
         return cpinf.random_cplane_kraus(rng)
     return cpinf.random_kraus(rng, model=model.name)
 
 
 def _rand_kraus_from(model: Model, rng, src: cpinf.KrausMorphism):
     """A random representative whose domain is ``src``'s codomain."""
-    if model.name.startswith("cplane"):
+    if model.base == "cplane":
         k = cpinf.random_cplane_kraus(rng)
         # rebase so the chain composes: scale the new codomain
         cod = model.interpret(src.cod)
@@ -232,19 +232,15 @@ def _(model, rng, tol):
     b = model.interpret(k.cod)
     direct = cpinf.to_choi(cpinf.kraus_dagger(k)).matrix
     c = cpinf.to_choi(k).matrix
-    swapped = np.zeros((a * b, a * b), dtype=complex)
-    for out1 in range(a):          # adjoint output index runs over dom
-        for in1 in range(b):
-            for out2 in range(a):
-                for in2 in range(b):
-                    swapped[out1 * b + in1, out2 * b + in2] = np.conj(
-                        c[in1 * a + out1, in2 * a + out2])
+    # (in, out) double indices of k become (out, in) ones of its adjoint
+    swapped = c.reshape(b, a, b, a).transpose(1, 0, 3, 2).reshape(
+        a * b, a * b).conj()
     return float(np.max(np.abs(direct - swapped), initial=0.0)), None
 
 
 @_prop("CP-Q-FUNCTOR", "Q(f g) ~ Q(f) Q(g) and Q(1) ~ 1", ("mat", "cplane"))
 def _(model, rng, tol):
-    if model.name.startswith("cplane"):
+    if model.base == "cplane":
         a = model.random_object(rng)
         f = model.random_morphism(rng, a, a)
         g = model.random_morphism(rng, a, a)
@@ -459,10 +455,6 @@ def _entry_rng(seed: int, entry_id: str, model_name: str):
     return np.random.default_rng(np.random.SeedSequence([seed, digest]))
 
 
-def _base_name(model_name: str) -> str:
-    return model_name.split("!", 1)[0]
-
-
 def list_laws() -> List[dict]:
     """Machine-readable catalog: coherence laws plus property entries."""
     out = []
@@ -518,28 +510,20 @@ def _run_property_entry(entry: PropertyEntry, model: Model,
 
 def run_suite(cfg: SuiteConfig) -> List[LawCheckReport]:
     """One report per (entry, model) pair, deterministic for a given config."""
-    reports = []
-    known = set()
-    for law in catalog().values():
-        known.add(law.law_id)
-        for model_name in cfg.models:
-            if _base_name(model_name) not in law.models:
-                continue
-            if not fnmatch.fnmatch(law.law_id, cfg.law_filter):
-                continue
-            reports.append(_run_catalog_entry(law, get_model(model_name),
-                                              cfg))
-    for entry in _PROPERTIES.values():
-        known.add(entry.entry_id)
-        for model_name in cfg.models:
-            if _base_name(model_name) not in entry.models:
-                continue
-            if not fnmatch.fnmatch(entry.entry_id, cfg.law_filter):
-                continue
-            reports.append(_run_property_entry(entry, get_model(model_name),
-                                               cfg))
+    models = [get_model(name) for name in cfg.models]
+    laws = catalog()
     if cfg.law_filter != "*" and not any(
-            fnmatch.fnmatch(name, cfg.law_filter) for name in known):
+            fnmatch.fnmatch(name, cfg.law_filter)
+            for name in [*laws, *_PROPERTIES]):
         raise UnknownLaw(f"filter {cfg.law_filter!r} matches no law")
+    reports = []
+    for law in laws.values():
+        if fnmatch.fnmatch(law.law_id, cfg.law_filter):
+            reports += [_run_catalog_entry(law, m, cfg) for m in models
+                        if m.base in law.models]
+    for entry in _PROPERTIES.values():
+        if fnmatch.fnmatch(entry.entry_id, cfg.law_filter):
+            reports += [_run_property_entry(entry, m, cfg) for m in models
+                        if m.base in entry.models]
     reports.sort(key=lambda r: (r.law, r.model))
     return reports

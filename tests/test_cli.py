@@ -151,6 +151,23 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert json.loads(out.strip())["seed"] == 42
 
 
+def test_malformed_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("MUC_CPINF_SEED", "abc")
+    code, out, err = run(capsys, "laws-list")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "MUC_CPINF_SEED" in err
+
+
+def test_non_integral_dimension_exits_two(tmp_path, capsys):
+    d = jsonio.channel_to_json(cpinf.random_kraus(RNG, 2, 2, 1))
+    d["dom"] = 2.5
+    p = tmp_path / "k.json"
+    p.write_text(json.dumps(d))
+    code, _, err = run(capsys, "channel-choi", str(p))
+    assert code == 2 and "TypingError" in err
+
+
 def test_usage_error_exit_two(capsys):
     code, _, err = run(capsys, "channel-choi", "no-such-file.json")
     assert code == 2 and "error:" in err

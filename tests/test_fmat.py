@@ -8,8 +8,9 @@ from mucinf.fmat import (ALL, FIN, ExplicitFamily, FiniteIndex, OMEGA,
                          OMEGA_ALL, OMEGA_FIN, SparseMatrix, TagFamily,
                          check_finiteness_relation, check_finiteness_space,
                          downward_closure, explicit_family, family_subset,
-                         finite_space, fmat_compose, fmat_dagger, include_mat,
-                         perp, power_family, sparse_identity, to_dense)
+                         finite_space, fmat_compose, fmat_dagger, from_dense,
+                         include_mat, perp, power_family, sparse_identity,
+                         to_dense)
 
 label_sets = st.lists(st.integers(0, 5), min_size=1, max_size=5,
                       unique=True).map(tuple)
@@ -190,6 +191,11 @@ class TestInclude:
     def test_round_trip_through_dense(self):
         dense = np.array([[1, 2j], [0, 0.5]], dtype=complex)
         assert np.allclose(to_dense(include_mat(dense)), dense)
+
+    def test_from_dense_uses_labels_and_drops_tiny_entries(self):
+        src, tgt = finite_space(("a", "b")), finite_space(("x", "y"))
+        m = from_dense(np.array([[1, 1e-15], [0, 2j]]), src, tgt)
+        assert m.as_dict() == {("a", "x"): 1 + 0j, ("b", "y"): 2j}
 
 
 def test_downward_closure_contains_all_subsets():

@@ -53,6 +53,25 @@ class TestChannel:
             jsonio.channel_from_json(d)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("dom", 2.5), ("cod", 2.0), ("ancilla", "1"), ("dom", True)])
+def test_channel_dimensions_must_be_integers(key, value):
+    d = jsonio.channel_to_json(cpinf.random_kraus(RNG, 2, 2, 1))
+    d[key] = value
+    with pytest.raises(TypingError):
+        jsonio.channel_from_json(d)
+
+
+def test_matrix_and_choi_dimensions_must_be_integers():
+    with pytest.raises(TypingError):
+        jsonio.matrix_from_json({"rows": 1.0, "cols": 1,
+                                 "entries": [[1.0, 0.0]]})
+    d = jsonio.choi_to_json(cpinf.to_choi(cpinf.random_kraus(RNG, 2, 2, 1)))
+    d["b"] = 2.5
+    with pytest.raises(TypingError):
+        jsonio.choi_from_json(d)
+
+
 def test_choi_round_trip():
     c = cpinf.to_choi(cpinf.random_kraus(RNG, 2, 2, 2))
     again = jsonio.choi_from_json(jsonio.choi_to_json(c))

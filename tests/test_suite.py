@@ -2,7 +2,7 @@ import contextlib
 
 import pytest
 
-from mucinf.errors import UnknownLaw
+from mucinf.errors import UnknownLaw, UnknownModel
 from mucinf.fmat import FmatModel
 from mucinf.matc import MatModel
 from mucinf.morphisms import register_model, unregister_model
@@ -88,6 +88,19 @@ def test_mutation_sensitivity(name, model):
         reps = run_suite(SuiteConfig(models=(name,), trials=25, seed=0))
     failing = [r.law for r in reps if not r.passed]
     assert failing, f"mutant {name} slipped through the suite"
+
+
+def test_mutant_law_set_comes_from_its_class():
+    # the name carries no family marker; the class's base decides the laws
+    with registered(MatModel("broken", {"scale_mix"})):
+        reps = run_suite(SuiteConfig(models=("broken",), trials=5, seed=0))
+    assert reps and {r.model for r in reps} == {"broken"}
+    assert any(r.law == "U4a" and not r.passed for r in reps)
+
+
+def test_unknown_model_is_rejected():
+    with pytest.raises(UnknownModel):
+        run_suite(SuiteConfig(models=("bogus",), trials=1))
 
 
 def test_specific_mutation_failures():
