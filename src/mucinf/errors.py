@@ -42,7 +42,8 @@ class SpaceMismatch(MucinfError):
 
 
 class DimensionOverflow(MucinfError):
-    """An operation would produce a payload beyond desk scale (2**16 entries)."""
+    """An operation would produce a payload beyond desk scale: a side over
+    2**16 or more than 2**24 entries."""
 
 
 class UnknownModel(MucinfError):

@@ -9,7 +9,9 @@ Schemas:
   where a space is ``{"X": "omega" | [labels...], "A": fam, "B": fam}`` and a
   family is ``"fin" | "all" | [[labels...], ...]``
 
-Readers reject non-finite numbers.
+Readers check the type of every document and field they read: a document
+or field of the wrong JSON type, a dimension that is not an integer, or a
+non-finite number raises ``TypingError``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,22 @@ from .morphisms import Morphism
 from .objects import Base, Par
 
 
-def _check_finite(x: float, what: str) -> float:
+def _object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise TypingError(f"{what} must be a JSON object, got {d!r:.40}")
+    return d
+
+
+def _array(x, what: str, width=None) -> list:
+    if not isinstance(x, list) or width not in (None, len(x)):
+        shape = "a list" if width is None else f"a list of {width}"
+        raise TypingError(f"{what} must be {shape}, got {x!r:.40}")
+    return x
+
+
+def _check_finite(x, what: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypingError(f"non-numeric {x!r:.40} in {what}")
     x = float(x)
     if not math.isfinite(x):
         raise TypingError(f"non-finite number in {what}")
@@ -51,8 +68,10 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
+    d = _object(d, "matrix")
     rows, cols = _dim(d, "rows"), _dim(d, "cols")
-    entries = d["entries"]
+    entries = [_array(e, "matrix entry", 2)
+               for e in _array(d["entries"], "matrix entries")]
     if len(entries) != rows * cols:
         raise ShapeMismatch(
             f"expected {rows * cols} entries, got {len(entries)}")
@@ -73,6 +92,7 @@ def channel_to_json(k: KrausMorphism) -> dict:
 
 
 def channel_from_json(d: dict) -> KrausMorphism:
+    d = _object(d, "channel")
     a, b, u = _dim(d, "dom"), _dim(d, "cod"), _dim(d, "ancilla")
     body_mat = matrix_from_json(d["body"])
     if body_mat.shape != (u * b, a):
@@ -109,7 +129,8 @@ def _family_from_json(obj) -> SetFamily:
         if obj not in (FIN, ALL):
             raise TypingError(f"unknown family tag {obj!r}")
         return TagFamily(obj)
-    return explicit_family([[_label(x) for x in subset] for subset in obj])
+    return explicit_family([[_label(x) for x in _array(subset, "family set")]
+                            for subset in _array(obj, "family")])
 
 
 def _label(x):
@@ -128,8 +149,9 @@ def _space_to_json(space: FinitenessSpace) -> dict:
 
 def _space_fields(d: dict) -> SimpleNamespace:
     """The parts of a space description, not yet checked to be a perp pair."""
+    d = _object(d, "space")
     index = OMEGA if d["X"] == "omega" \
-        else FiniteIndex(tuple(_label(x) for x in d["X"]))
+        else FiniteIndex(tuple(_label(x) for x in _array(d["X"], "'X'")))
     return SimpleNamespace(index=index, fam_a=_family_from_json(d["A"]),
                            fam_b=_family_from_json(d["B"]))
 
@@ -147,13 +169,19 @@ def fmat_to_json(m: SparseMatrix) -> dict:
     }
 
 
+def _fmat_entries(entries) -> list:
+    return [_array(e, "fmat entry", 4)
+            for e in _array(entries, "fmat entries")]
+
+
 def fmat_from_json(d: dict) -> SparseMatrix:
+    d = _object(d, "fmat matrix")
     src = _space_from_json(d["src"])
     tgt = _space_from_json(d["tgt"])
     entries = tuple(
         (_label(x), _label(y),
          complex(_check_finite(re, "fmat"), _check_finite(im, "fmat")))
-        for x, y, re, im in d["entries"])
+        for x, y, re, im in _fmat_entries(d["entries"]))
     return SparseMatrix(src, tgt, entries)
 
 
@@ -166,8 +194,11 @@ def fmat_check_report(d: dict) -> dict:
     out = {"src_space_valid": False, "tgt_space_valid": False,
            "relation_valid": False, "valid": False}
     try:
+        d = _object(d, "fmat matrix")
         src = _space_fields(d["src"])
         tgt = _space_fields(d["tgt"])
+        support = [(_label(x), _label(y))
+                   for x, y, _, _ in _fmat_entries(d.get("entries", []))]
     except (TypingError, KeyError, ValueError) as exc:
         out["error"] = str(exc)
         return out
@@ -175,7 +206,6 @@ def fmat_check_report(d: dict) -> dict:
                                                     src.fam_b)
     out["tgt_space_valid"] = check_finiteness_space(tgt.index, tgt.fam_a,
                                                     tgt.fam_b)
-    support = [(x, y) for x, y, _, _ in d.get("entries", [])]
     out["relation_valid"] = check_finiteness_relation(support, src, tgt)
     out["valid"] = (out["src_space_valid"] and out["tgt_space_valid"]
                     and out["relation_valid"])

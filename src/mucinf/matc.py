@@ -17,9 +17,19 @@ Conventions
   syntax keeps track of daggers.
 * Channel bodies put the ancilla wire first: a Kraus body ``A -> U * B`` is
   a ``(u*b) x a`` matrix whose block rows are the Kraus operators.
+* Identity payloads are shared: ``mat_identity(n)`` returns the same
+  read-only array for as long as some payload still holds it.  Composing
+  with a shared identity returns the other operand itself (when that is
+  already a frozen payload), and the Kronecker product of two identities is
+  the shared identity of the product, so the structural maps of the strict
+  interpretation cost no matmul.
+* Size guards bound each side of a payload by ``DIM_LIMIT`` and its number
+  of entries by ``ENTRY_LIMIT``, before anything is allocated.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -28,7 +38,21 @@ from .morphisms import Model, Morphism, register_model
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
 
-DIM_LIMIT = 2 ** 16  # desk-scale guard on matrix dimensions
+DIM_LIMIT = 2 ** 16  # desk-scale guard on each side of a matrix
+ENTRY_LIMIT = 2 ** 24  # and on its entries: 256 MiB of complex128
+
+# the shared identity of each dimension some payload still holds
+_EYES: "weakref.WeakValueDictionary[int, np.ndarray]" = \
+    weakref.WeakValueDictionary()
+
+
+def _check_size(rows: int, cols: int, what: str) -> None:
+    if rows > DIM_LIMIT or cols > DIM_LIMIT:
+        raise DimensionOverflow(
+            f"{what} {rows}x{cols} exceeds dimension {DIM_LIMIT}")
+    if rows * cols > ENTRY_LIMIT:
+        raise DimensionOverflow(
+            f"{what} {rows}x{cols} exceeds {ENTRY_LIMIT} entries")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -37,21 +61,38 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_frozen(a: np.ndarray) -> bool:
+    """Whether ``_freeze(a)`` would return ``a`` itself, unchanged."""
+    return (a.dtype == np.complex128 and a.flags.c_contiguous
+            and not a.flags.writeable)
+
+
+def _is_eye(a: np.ndarray) -> bool:
+    return _EYES.get(a.shape[0]) is a
+
+
 def mat_identity(dim: int) -> np.ndarray:
-    if dim > DIM_LIMIT:
-        raise DimensionOverflow(f"identity of dimension {dim} exceeds "
-                                f"{DIM_LIMIT}")
-    return _freeze(np.eye(dim, dtype=complex))
+    _check_size(dim, dim, "identity")
+    eye = _EYES.get(dim)
+    if eye is None:
+        eye = _EYES[dim] = _freeze(np.eye(dim, dtype=complex))
+    return eye
 
 
 def mat_kron(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Kronecker product; realises both monoidal products of the model."""
-    rows = f.shape[0] * g.shape[0]
-    cols = f.shape[1] * g.shape[1]
-    if rows > DIM_LIMIT or cols > DIM_LIMIT:
-        raise DimensionOverflow(
-            f"kron result {rows}x{cols} exceeds dimension {DIM_LIMIT}")
-    return _freeze(np.kron(f, g))
+    (r1, c1), (r2, c2) = f.shape, g.shape
+    rows, cols = r1 * r2, c1 * c2
+    _check_size(rows, cols, "kron result")
+    if _is_eye(f) and _is_eye(g):
+        return mat_identity(rows)
+    if r1 == 1 and _is_eye(f) and _is_frozen(g):
+        return g
+    if r2 == 1 and _is_eye(g) and _is_frozen(f):
+        return f
+    # every entry is the one product f[i, j] * g[k, l], as in np.kron
+    return _freeze((f[:, None, :, None] * g[None, :, None, :])
+                   .reshape(rows, cols))
 
 
 def mat_dagger(f: np.ndarray) -> np.ndarray:
@@ -61,6 +102,7 @@ def mat_dagger(f: np.ndarray) -> np.ndarray:
 def commutation_perm(a: int, b: int) -> np.ndarray:
     """Permutation matrix P with ``P @ kron(x, y) = kron(y, x)``
     for x of dimension a and y of dimension b."""
+    _check_size(a * b, a * b, "commutation permutation")
     p = np.zeros((a * b, a * b), dtype=complex)
     for i in range(a):
         for j in range(b):
@@ -70,6 +112,7 @@ def commutation_perm(a: int, b: int) -> np.ndarray:
 
 def bell_unit(a: int) -> np.ndarray:
     """Cup eta: 1 -> a*a, the column sum of e_i (x) e_i."""
+    _check_size(a * a, 1, "cup")
     v = np.zeros((a * a, 1), dtype=complex)
     for i in range(a):
         v[i * a + i, 0] = 1.0
@@ -166,7 +209,15 @@ class MatModel(Model):
         return mat_identity(self.interpret(expr))
 
     def compose_payload(self, f: Morphism, g: Morphism) -> np.ndarray:
-        return _freeze(g.payload @ f.payload)
+        f, g = f.payload, g.payload
+        # a shared identity needs no matmul; shapes that do not line up
+        # still reach ``@`` and raise there
+        if g.shape[1] == f.shape[0]:
+            if _is_eye(g) and _is_frozen(f):
+                return f
+            if _is_eye(f) and _is_frozen(g):
+                return g
+        return _freeze(g @ f)
 
     def tensor_payload(self, f: Morphism, g: Morphism) -> np.ndarray:
         return mat_kron(f.payload, g.payload)

@@ -64,7 +64,10 @@ def _prop(entry_id: str, anchor: str, models=("mat",)):
 
 def _rand_kraus(model: Model, rng) -> cpinf.KrausMorphism:
     if model.base == "cplane":
-        return cpinf.random_cplane_kraus(rng)
+        # the same draws, under this model's id rather than "cplane"
+        k = cpinf.random_cplane_kraus(rng)
+        body = Morphism(model.name, k.dom, k.body.cod, None)
+        return cpinf.kraus_new(body, k.ancilla)
     return cpinf.random_kraus(rng, model=model.name)
 
 

@@ -168,6 +168,26 @@ def test_non_integral_dimension_exits_two(tmp_path, capsys):
     assert code == 2 and "TypingError" in err
 
 
+def test_channel_of_the_wrong_shape_exits_two(tmp_path, capsys):
+    p = tmp_path / "k.json"
+    p.write_text("[1, 2]")
+    code, out, err = run(capsys, "channel-choi", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: TypingError") and err.count("\n") == 1
+
+
+def test_fmat_space_of_the_wrong_shape_exits_two(tmp_path, capsys):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({
+        "src": {"X": 5, "A": "fin", "B": "all"},
+        "tgt": {"X": "omega", "A": "fin", "B": "all"},
+        "entries": []}))
+    code, out, err = run(capsys, "fmat-check", str(p))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["valid"] is False and "'X'" in report["error"]
+
+
 def test_usage_error_exit_two(capsys):
     code, _, err = run(capsys, "channel-choi", "no-such-file.json")
     assert code == 2 and "error:" in err

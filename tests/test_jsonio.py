@@ -1,10 +1,13 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucinf import cpinf, jsonio
-from mucinf.errors import ShapeMismatch, TypingError
+from mucinf.errors import MucinfError, ShapeMismatch, TypingError
 from mucinf.fmat import OMEGA_FIN, SparseMatrix, finite_space, include_mat
 
 RNG = np.random.default_rng(77)
@@ -127,3 +130,54 @@ def test_reports_are_json_lines():
     lines = jsonio.reports_to_lines([check_law("DMIX", "mat", seed=1)])
     parsed = json.loads(lines[0])
     assert parsed["law"] == "DMIX" and parsed["pass"] is True
+
+
+# documents of every schema, each to be damaged at one place
+_FIXTURE_RNG = np.random.default_rng(5)
+_VALID = [
+    jsonio.channel_to_json(cpinf.random_kraus(_FIXTURE_RNG, 2, 2, 2)),
+    jsonio.choi_to_json(
+        cpinf.to_choi(cpinf.random_kraus(_FIXTURE_RNG, 2, 2, 1))),
+    jsonio.fmat_to_json(include_mat(np.eye(2))),
+    {"src": {"X": [0, 1], "A": [[0]], "B": [[0], [1], [0, 1], []]},
+     "tgt": {"X": "omega", "A": "fin", "B": "all"},
+     "entries": [[0, 1, 1.0, 0.0]]},
+]
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
+              st.sampled_from(["omega", "fin", "all", "x"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=8)
+
+
+def _places(d, path=()):
+    yield path
+    items = d.items() if isinstance(d, dict) \
+        else enumerate(d[:6]) if isinstance(d, list) else ()
+    for key, value in items:
+        yield from _places(value, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(_VALID))), st.integers(0, 10 ** 6), _JSON)
+def test_damaged_documents_raise_only_what_the_cli_reports(which, where,
+                                                           value):
+    d = copy.deepcopy(_VALID[which])
+    places = list(_places(d))
+    path = places[where % len(places)]
+    if path:
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        d = value
+    for reader in (jsonio.matrix_from_json, jsonio.channel_from_json,
+                   jsonio.choi_from_json, jsonio.fmat_from_json):
+        try:
+            reader(d)
+        except (MucinfError, KeyError, ValueError):
+            pass
+    assert isinstance(jsonio.fmat_check_report(d)["valid"], bool)

@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucinf.errors import DimensionOverflow, NotHermitian, ShapeMismatch
-from mucinf.matc import (apply_channel, bell_counit, bell_unit,
+from mucinf.matc import (DIM_LIMIT, ENTRY_LIMIT, MAT, _freeze,
+                         apply_channel, bell_counit, bell_unit,
                          commutation_perm, hermitian_eig, mat_dagger,
                          mat_identity, mat_kron, random_unitary)
+from mucinf.morphisms import Morphism
+from mucinf.objects import Base
 
 RNG = np.random.default_rng(20240811)
 
@@ -45,6 +52,109 @@ class TestKron:
         big = np.zeros((2 ** 9, 2 ** 9))
         with pytest.raises(DimensionOverflow):
             mat_kron(big, big)
+
+
+def frozen_random(rows, cols):
+    return _freeze(RNG.random((rows, cols)) + 1j * RNG.random((rows, cols)))
+
+
+def compose(f, g):
+    """``g @ f`` through the model, as a diagram-order composite f ; g."""
+    def mor(p):
+        return Morphism("mat", Base(p.shape[1]), Base(p.shape[0]), p)
+    return MAT.compose_payload(mor(f), mor(g))
+
+
+class TestSharedIdentity:
+    def test_one_array_while_held(self):
+        eye = mat_identity(5)
+        assert mat_identity(5) is eye
+        assert not eye.flags.writeable and eye.dtype == complex
+        assert np.array_equal(eye, np.eye(5))
+
+    def test_compose_either_side_is_the_matmul(self):
+        for rows, cols in [(1, 1), (2, 3), (4, 4), (6, 2)]:
+            f = frozen_random(rows, cols)
+            left, right = mat_identity(cols), mat_identity(rows)
+            assert np.array_equal(compose(left, f), f @ left)
+            assert np.array_equal(compose(f, right), right @ f)
+            assert compose(left, f) is f and compose(f, right) is f
+
+    def test_unfrozen_operand_comes_back_fresh_and_untouched(self):
+        writeable = RNG.random((3, 2)) + 1j * RNG.random((3, 2))
+        real = RNG.random((3, 2))
+        for f in (writeable, real):
+            dtype = f.dtype
+            for out in (compose(mat_identity(2), f),
+                        compose(f, mat_identity(3))):
+                assert out is not f and np.array_equal(out, f)
+                assert out.dtype == complex and not out.flags.writeable
+            assert f.flags.writeable and f.dtype == dtype
+
+    def test_shape_mismatch_against_identity_raises(self):
+        f = frozen_random(3, 2)
+        with pytest.raises(ValueError):
+            compose(mat_identity(3), f)
+        with pytest.raises(ValueError):
+            compose(f, mat_identity(2))
+
+    def test_kron_of_identities_is_shared(self):
+        assert mat_kron(mat_identity(2), mat_identity(3)) is mat_identity(6)
+        f = frozen_random(2, 3)
+        assert mat_kron(mat_identity(1), f) is f
+        assert mat_kron(f, mat_identity(1)) is f
+
+
+def _kron_factor(shape, eye):
+    # a shared identity of the square side, or random entries (real or
+    # complex, frozen or writeable)
+    rows, cols, real, frozen = shape
+    if eye:
+        return mat_identity(rows)
+    f = RNG.random((rows, cols))
+    if not real:
+        f = f + 1j * RNG.random((rows, cols))
+    return _freeze(f) if frozen else f
+
+
+SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 4), st.booleans(),
+                   st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SHAPES, st.booleans(), st.booleans())
+def test_kron_is_np_kron_bit_for_bit(fshape, gshape, f_eye, g_eye):
+    f, g = _kron_factor(fshape, f_eye), _kron_factor(gshape, g_eye)
+    out = mat_kron(f, g)
+    want = np.kron(f, g).astype(complex)
+    assert out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    assert not out.flags.writeable
+
+
+class TestSizeGuard:
+    def test_entries_bounded_before_allocation(self):
+        # each side is within DIM_LIMIT; the entries are not
+        assert 60000 <= DIM_LIMIT and 60000 ** 2 > ENTRY_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverflow):
+                mat_identity(60000)
+            with pytest.raises(DimensionOverflow):
+                commutation_perm(300, 300)
+            with pytest.raises(DimensionOverflow):
+                commutation_perm(64, 65)  # 4160 per side, 17.3M entries
+            with pytest.raises(DimensionOverflow):
+                bell_unit(5000)
+            with pytest.raises(DimensionOverflow):
+                mat_kron(np.zeros((2 ** 12, 1)), np.zeros((1, 2 ** 13)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_largest_workload_payload_fits(self):
+        assert mat_identity(512).shape == (512, 512)
 
 
 class TestDagger:

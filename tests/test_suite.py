@@ -1,12 +1,15 @@
 import contextlib
 
+import numpy as np
 import pytest
 
+from mucinf.cplane import CplaneModel
 from mucinf.errors import UnknownLaw, UnknownModel
 from mucinf.fmat import FmatModel
 from mucinf.matc import MatModel
-from mucinf.morphisms import register_model, unregister_model
-from mucinf.suite import SuiteConfig, list_laws, run_suite
+from mucinf.morphisms import register_model, registered_models, unregister_model
+from mucinf.suite import (SuiteConfig, _rand_kraus, _rand_kraus_from,
+                          list_laws, run_suite)
 
 
 @contextlib.contextmanager
@@ -121,3 +124,19 @@ def test_specific_mutation_failures():
         reps = run_suite(SuiteConfig(models=("mat!scaled-mix2",), trials=5,
                                      seed=0, law_filter="U4a"))
     assert not reps[0].passed
+
+
+def test_cplane_mutant_channels_are_built_in_the_mutant():
+    cfg = SuiteConfig(models=("cplane-x",), trials=5, seed=7,
+                      law_filter="CP-CAT-*")
+    with registered(CplaneModel("cplane-x")) as model:
+        rng = np.random.default_rng(0)
+        k = _rand_kraus(model, rng)
+        assert k.model == k.body.model == "cplane-x"
+        assert _rand_kraus_from(model, rng, k).model == "cplane-x"
+        reps = run_suite(cfg)
+    assert [(r.law, r.model, r.passed) for r in reps] == [
+        ("CP-CAT-ASSOC", "cplane-x", True), ("CP-CAT-IDENT", "cplane-x", True)]
+    assert "cplane-x" not in registered_models()
+    with pytest.raises(UnknownModel):
+        run_suite(cfg)
