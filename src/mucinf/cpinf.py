@@ -2,10 +2,11 @@
 
 A channel representative is a morphism ``f : A -> U + B`` together with its
 ancilla ``U`` drawn from the unitary subcategory.  Representatives are
-identified when no test map can distinguish them; in the dense model that
-relation is decided by equality of Choi matrices, in the discrete model by a
-closed form, and a sampling oracle witnesses the test-map definition
-directly.
+identified when no test map can distinguish them.  Each model decides that
+relation through its own canonical form (``Model.canonical``): the Choi
+matrix in the dense model and in the finite fragment of ``fmat``, a closed
+form in the discrete model.  A sampling oracle witnesses the test-map
+definition directly.
 
 The channel category built here inherits its two tensors, its mix structure
 and (over the dense model) its dagger from the base model; the environment
@@ -21,10 +22,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import matc
-from .cplane import CplaneKraus, CplaneModel, cplane_equiv
 from .errors import (DomCodMismatch, NotPSD, TypingError, UnsupportedInModel)
-from .fmat import FiniteIndex, FmatModel, to_dense
-from .matc import MatModel
+from .matc import ChoiMatrix
 from .morphisms import (Model, Morphism, dagger, get_model, identity, par,
                         tensor)
 from .objects import BOT, Base, Dagger, Dual, ObjectExpr, Par, Tensor
@@ -42,27 +41,6 @@ class KrausMorphism:
     body: Morphism
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Canonical invariant of a dense-model channel.
-
-    ``matrix`` is Hermitian of size (in*out) x (in*out) in the (out, in)
-    double-index convention: entry ((b,a),(b',a')) is the sum over Kraus
-    blocks of M[b,a] * conj(M[b',a']).  Positive semidefiniteness (within a
-    -1e-9 eigenvalue floor) holds for every matrix produced here and is
-    enforced where it matters, at purification.
-    """
-
-    matrix: np.ndarray
-    dim_in: int
-    dim_out: int
-
-    def __post_init__(self):
-        matc.check_hermitian(self.matrix)
-        if self.matrix.shape[0] != self.dim_in * self.dim_out:
-            raise TypingError("Choi matrix size must be dim_in * dim_out")
-
-
 def _model_of(k: KrausMorphism) -> Model:
     return get_model(k.model)
 
@@ -72,22 +50,7 @@ def validate_body(f: Morphism, ancilla: ObjectExpr) -> None:
         raise TypingError(
             "body codomain must be Par(ancilla, cod), got "
             f"{f.cod!r} with ancilla {ancilla!r}")
-    model = get_model(f.model)
-    if isinstance(model, MatModel):
-        rows, cols = f.payload.shape
-        if rows != model.interpret(f.cod) or cols != model.interpret(f.dom):
-            raise TypingError(
-                f"payload shape {f.payload.shape} does not match typing")
-    elif isinstance(model, CplaneModel):
-        if not model.same_object(model.interpret(f.dom),
-                                 model.interpret(f.cod)):
-            raise TypingError(
-                "no such identity map: dom and codomain evaluate differently "
-                "(need dom = ancilla * cod)")
-    elif isinstance(model, FmatModel):
-        if f.payload.src != model.interpret(f.dom) \
-                or f.payload.tgt != model.interpret(f.cod):
-            raise TypingError("sparse payload spaces do not match typing")
+    get_model(f.model).check_payload(f)
 
 
 def kraus_new(f: Morphism, ancilla: ObjectExpr) -> KrausMorphism:
@@ -110,34 +73,8 @@ def kraus_compose(k1: KrausMorphism, k2: KrausMorphism) -> KrausMorphism:
         raise TypingError(f"models differ: {k1.model} vs {k2.model}")
     if k1.cod != k2.dom:
         raise TypingError(f"cod {k1.cod!r} != dom {k2.dom!r}")
-    m = _model_of(k1)
-    if isinstance(m, FmatModel):
-        return _fmat_kraus_compose(m, k1, k2)
-    body = (k1.body
-            >> par(identity(m, k1.ancilla), k2.body)
-            >> structural(m, "a_par", [k1.ancilla, k2.ancilla, k2.cod]))
+    body = _model_of(k1).kraus_compose_body(k1, k2)
     return kraus_new(body, Par(k1.ancilla, k2.ancilla))
-
-
-def _fmat_kraus_compose(m: FmatModel, k1, k2) -> KrausMorphism:
-    # direct support surgery: never materialises the identity on the first
-    # ancilla, so symbolic infinite ancillas compose fine
-    from .fmat import SparseMatrix
-    by_mid = {}
-    for b, vc, val in k2.body.payload.entries:
-        by_mid.setdefault(b, []).append((vc, val))
-    acc = {}
-    for x, ub, val1 in k1.body.payload.entries:
-        u, b = ub
-        for (v, c), val2 in by_mid.get(b, ()):
-            key = (x, ((u, v), c))
-            acc[key] = acc.get(key, 0j) + val1 * val2
-    ancilla = Par(k1.ancilla, k2.ancilla)
-    cod_expr = Par(ancilla, k2.cod)
-    payload = SparseMatrix(m.interpret(k1.dom), m.interpret(cod_expr),
-                           tuple((x, y, v) for (x, y), v in acc.items()))
-    body = Morphism(m.name, k1.dom, cod_expr, payload)
-    return kraus_new(body, ancilla)
 
 
 def _rewire_tensor(m: Model, u1, b, u2, d) -> Morphism:
@@ -190,17 +127,19 @@ def kraus_par(k1: KrausMorphism, k2: KrausMorphism) -> KrausMorphism:
 # dense-model channel analysis
 
 
-def _require_mat(k: KrausMorphism) -> MatModel:
-    m = _model_of(k)
-    if not isinstance(m, MatModel):
+def _dense(model: str) -> Model:
+    """The model, which must be of the dense family: the analyses below
+    read its payloads as matrices."""
+    m = get_model(model)
+    if m.base != "mat":
         raise UnsupportedInModel(
-            f"operation needs the dense model, got {k.model}")
+            f"operation needs the dense model, got {model}")
     return m
 
 
 def pure_decomposition(k: KrausMorphism) -> List[np.ndarray]:
     """Slice the body into its Kraus blocks M_i (cod x dom each)."""
-    m = _require_mat(k)
+    m = _dense(k.model)
     u = m.interpret(k.ancilla)
     b = m.interpret(k.cod)
     a = m.interpret(k.dom)
@@ -210,7 +149,7 @@ def pure_decomposition(k: KrausMorphism) -> List[np.ndarray]:
 def channel_action(k: KrausMorphism, density: np.ndarray,
                    tol: float = 1e-9) -> np.ndarray:
     """Apply the channel to a density matrix."""
-    m = _require_mat(k)
+    m = _dense(k.model)
     return matc.apply_channel(k.body.payload, m.interpret(k.ancilla),
                               density, tol)
 
@@ -222,7 +161,7 @@ def kraus_dagger(k: KrausMorphism) -> KrausMorphism:
     which lands on the same channel as the dual-bending construction because
     every structural map of the dense model is a permutation.
     """
-    m = _require_mat(k)
+    m = _dense(k.model)
     blocks = pure_decomposition(k)
     dblocks = [m.dagger_payload(Morphism(k.model, k.dom, k.cod, blk))
                for blk in blocks]
@@ -234,63 +173,27 @@ def kraus_dagger(k: KrausMorphism) -> KrausMorphism:
 
 def to_choi(k: KrausMorphism) -> ChoiMatrix:
     """Glue the representative to its dagger along the ancilla."""
-    m = _require_mat(k)
-    a = m.interpret(k.dom)
-    b = m.interpret(k.cod)
-    u = m.interpret(k.ancilla)
-    w = k.body.payload.reshape(u, b * a)
-    c = w.T @ w.conj()
-    # clip rounding asymmetry so the invariant holds exactly
-    c = (c + c.conj().T) / 2.0
-    return ChoiMatrix(c, a, b)
+    return _dense(k.model).canonical(k)
 
 
-def _fmat_to_mat(k: KrausMorphism) -> KrausMorphism:
-    m = _model_of(k)
-    spaces = [m.interpret(e) for e in (k.dom, k.cod, k.ancilla)]
-    if not all(isinstance(s.index, FiniteIndex) for s in spaces):
-        raise UnsupportedInModel(
-            "no decision procedure outside the finite fragment")
-    dense = to_dense(k.body.payload)
-    dims = [len(s.index.labels) for s in spaces]
-    body = Morphism("mat", Base(dims[0]),
-                    Par(Base(dims[2]), Base(dims[1])), matc._freeze(dense))
-    return kraus_new(body, Base(dims[2]))
-
-
-def _as_cplane(k: KrausMorphism) -> CplaneKraus:
-    m = _model_of(k)
-    anc = m.interpret(k.ancilla)
-    if abs(anc.imag) > 1e-12 * max(1.0, abs(anc)):
-        raise TypingError("ancilla of a discrete-model channel must be real")
-    return CplaneKraus(m.interpret(k.dom), m.interpret(k.cod), anc.real)
+def _canonical_pair(k1: KrausMorphism, k2: KrausMorphism):
+    if k1.model != k2.model:
+        raise DomCodMismatch(f"models differ: {k1.model} vs {k2.model}")
+    m = _model_of(k1)
+    return m.canonical(k1), m.canonical(k2)
 
 
 def channel_deviation(k1: KrausMorphism, k2: KrausMorphism) -> float:
     """Distance between canonical forms (0 exactly when equivalent)."""
-    if k1.model != k2.model:
-        raise DomCodMismatch(f"models differ: {k1.model} vs {k2.model}")
-    m = _model_of(k1)
-    if isinstance(m, FmatModel):
-        return channel_deviation(_fmat_to_mat(k1), _fmat_to_mat(k2))
-    if isinstance(m, CplaneModel):
-        c1, c2 = _as_cplane(k1), _as_cplane(k2)
-        return 0.0 if cplane_equiv(c1, c2) else abs(c1.ancilla - c2.ancilla)
-    dims1 = (m.interpret(k1.dom), m.interpret(k1.cod))
-    dims2 = (m.interpret(k2.dom), m.interpret(k2.cod))
-    if dims1 != dims2:
-        raise DomCodMismatch(f"channel types differ: {dims1} vs {dims2}")
-    c1, c2 = to_choi(k1), to_choi(k2)
-    return float(np.max(np.abs(c1.matrix - c2.matrix), initial=0.0))
+    c1, c2 = _canonical_pair(k1, k2)
+    return c1.deviation(c2)
 
 
 def equiv_decide(k1: KrausMorphism, k2: KrausMorphism,
                  tol: float = 1e-9) -> bool:
     """Decide channel equivalence via the canonical form."""
-    m = _model_of(k1)
-    if isinstance(m, CplaneModel):
-        return cplane_equiv(_as_cplane(k1), _as_cplane(k2))
-    return channel_deviation(k1, k2) <= tol
+    c1, c2 = _canonical_pair(k1, k2)
+    return c1.equiv(c2, tol)
 
 
 @dataclass(frozen=True)
@@ -298,28 +201,20 @@ class Channel:
     """Equivalence-class handle: canonical form plus one representative."""
 
     model: str
-    canonical: object  # ChoiMatrix, or a (dom, cod, ratio) triple
+    canonical: object  # what the model's ``canonical`` returns
     representative: KrausMorphism
 
     def equals(self, other: "Channel", tol: float = 1e-9) -> bool:
         if self.model != other.model:
             return False
         try:
-            return equiv_decide(self.representative, other.representative,
-                                tol)
+            return self.canonical.equiv(other.canonical, tol)
         except DomCodMismatch:
             return False
 
 
 def channel(k: KrausMorphism) -> Channel:
-    m = _model_of(k)
-    if isinstance(m, CplaneModel):
-        c = _as_cplane(k)
-        ratio = None if abs(c.cod) < 1e-12 else c.ancilla
-        return Channel(k.model, (c.dom, c.cod, ratio), k)
-    if isinstance(m, FmatModel):
-        return Channel(k.model, to_choi(_fmat_to_mat(k)), k)
-    return Channel(k.model, to_choi(k), k)
+    return Channel(k.model, _model_of(k).canonical(k), k)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +252,7 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
     equation are composed literally from structural maps, so a witness is a
     concrete test map whose two glued composites differ.
     """
-    m = _require_mat(k1)
+    m = _dense(k1.model)
     if (m.interpret(k1.dom) != m.interpret(k2.dom)
             or m.interpret(k1.cod) != m.interpret(k2.cod)):
         raise DomCodMismatch("representatives do not share dom/cod")
@@ -398,7 +293,7 @@ def random_kraus(rng, dom_dim: Optional[int] = None,
 def equivalent_variant(rng, k: KrausMorphism) -> KrausMorphism:
     """An equivalent representative: mix the ancilla by a unitary, or pad
     it with extra wires fed through an isometry."""
-    m = _require_mat(k)
+    m = _dense(k.model)
     u = m.interpret(k.ancilla)
     b = m.interpret(k.cod)
     if rng.random() < 0.5:
@@ -480,9 +375,7 @@ def purify(choi: ChoiMatrix, model: str = "mat",
     The ancilla dimension is the Choi rank; Kraus blocks are the unvec'd
     scaled eigenvectors.  Raises NotPSD below the -1e-9 eigenvalue floor.
     """
-    m = get_model(model)
-    if not isinstance(m, MatModel):
-        raise UnsupportedInModel("purification needs the dense model")
+    m = _dense(model)
     w, v = matc.hermitian_eig(choi.matrix)
     scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
     if np.min(w, initial=0.0) < -1e-9 * scale:
@@ -532,9 +425,7 @@ def env_axiom_trial(structure: EnvStructure, axiom: str, rng,
 
     Returns (deviation, witness-info); deviation 0 means the instance holds.
     """
-    m = get_model(structure.model)
-    if not isinstance(m, MatModel):
-        raise UnsupportedInModel("environment checks run over the dense model")
+    m = _dense(structure.model)
 
     if axiom in ("Env.1a", "Env.1b"):
         u_expr = Base(int(rng.integers(1, 4)))
@@ -560,12 +451,13 @@ def env_axiom_trial(structure: EnvStructure, axiom: str, rng,
 
     if axiom == "Env.2":
         # the discard equation holds iff the representatives are equivalent
-        k1 = random_kraus(rng)
+        k1 = random_kraus(rng, model=m.name)
         if rng.random() < 0.5:
             k2 = equivalent_variant(rng, k1)
             expected = True
         else:
-            k2 = random_kraus(rng, m.interpret(k1.dom), m.interpret(k1.cod))
+            k2 = random_kraus(rng, m.interpret(k1.dom), m.interpret(k1.cod),
+                              model=m.name)
             expected = equiv_decide(k1, k2, tol)
         sides_equal = equiv_decide(env_factor(structure, k1),
                                    env_factor(structure, k2), tol)
@@ -574,8 +466,8 @@ def env_axiom_trial(structure: EnvStructure, axiom: str, rng,
 
     if axiom == "Env.3":
         # purification: every channel factors as a pure map then discard
-        k = random_kraus(rng)
-        rebuilt = env_factor(structure, purify(to_choi(k)))
+        k = random_kraus(rng, model=m.name)
+        rebuilt = env_factor(structure, purify(to_choi(k), m.name))
         return channel_deviation(rebuilt, k), None
 
     raise UnsupportedInModel(f"unknown environment axiom {axiom!r}")
@@ -617,20 +509,20 @@ def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
     m = get_model(src.model)
 
     def transport(k: KrausMorphism) -> KrausMorphism:
-        return env_factor(tgt, purify(to_choi(k)))
+        return env_factor(tgt, purify(to_choi(k), tgt.model))
 
     checks = {"well_defined": 0, "functorial": 0, "identity": 0,
               "discard": 0}
     failures = []
     for i in range(max(0, samples)):
-        k1 = random_kraus(rng)
+        k1 = random_kraus(rng, model=m.name)
         k1_alt = equivalent_variant(rng, k1)
         if equiv_decide(transport(k1), transport(k1_alt), 1e-7):
             checks["well_defined"] += 1
         else:
             failures.append({"check": "well_defined", "sample": i})
 
-        k2 = random_kraus(rng, m.interpret(k1.cod), None)
+        k2 = random_kraus(rng, m.interpret(k1.cod), model=m.name)
         lhs = transport(kraus_compose(k1, k2))
         rhs = kraus_compose(transport(k1), transport(k2))
         if equiv_decide(lhs, rhs, 1e-7):

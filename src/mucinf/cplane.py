@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .errors import (DomCodMismatch, ShapeMismatch, TypingError,
                      UnsupportedInModel)
@@ -64,22 +65,36 @@ class CplaneKraus:
                 f"Kraus map (need dom = ancilla * cod, ancilla real nonzero)")
 
 
-def cplane_equiv(k1: CplaneKraus, k2: CplaneKraus) -> bool:
-    """Decide channel equivalence in closed form.
+class CplaneChannel(NamedTuple):
+    """Canonical form of a channel: into a nonzero codomain there is at most
+    one Kraus map, so the ancilla ratio pins the channel; into 0 all
+    representatives are identified and the ratio is None."""
 
-    Into a nonzero codomain there is at most one Kraus map, so two valid
-    representatives are equivalent iff their ratios agree; into 0 all
-    representatives are identified.
-    """
-    if not (_close(k1.dom, k2.dom) and _close(k1.cod, k2.cod)):
-        raise DomCodMismatch("representatives do not share dom/cod")
-    if not kraus_valid(k1.dom, k1.ancilla, k1.cod):
-        return False
-    if not kraus_valid(k2.dom, k2.ancilla, k2.cod):
-        return False
-    if _close(k1.cod, 0.0):
-        return True
-    return _close(complex(k1.ancilla), complex(k2.ancilla))
+    dom: complex
+    cod: complex
+    ratio: Optional[float]
+
+    def equiv(self, other: "CplaneChannel", tol: float = 0.0) -> bool:
+        """Closed-form decision; exact, so ``tol`` is ignored."""
+        if not (_close(self.dom, other.dom) and _close(self.cod, other.cod)):
+            raise DomCodMismatch("representatives do not share dom/cod")
+        return (self.ratio is None or other.ratio is None
+                or _close(complex(self.ratio), complex(other.ratio)))
+
+    def deviation(self, other: "CplaneChannel") -> float:
+        return 0.0 if self.equiv(other) else abs(self.ratio - other.ratio)
+
+
+def cplane_channel(k: CplaneKraus) -> CplaneChannel:
+    return CplaneChannel(k.dom, k.cod,
+                         None if _close(k.cod, 0.0) else k.ancilla)
+
+
+def cplane_equiv(k1: CplaneKraus, k2: CplaneKraus) -> bool:
+    """Decide channel equivalence in closed form; a representative that
+    bypassed validation is equivalent to nothing."""
+    same = cplane_channel(k1).equiv(cplane_channel(k2))
+    return same and all(kraus_valid(k.dom, k.ancilla, k.cod) for k in (k1, k2))
 
 
 class CplaneModel(Model):
@@ -146,6 +161,20 @@ class CplaneModel(Model):
         ddom = abs(self.interpret(f.dom) - self.interpret(g.dom))
         dcod = abs(self.interpret(f.cod) - self.interpret(g.cod))
         return max(ddom, dcod)
+
+    def check_payload(self, f: Morphism) -> None:
+        if not self.same_object(self.interpret(f.dom), self.interpret(f.cod)):
+            raise TypingError(
+                "no such identity map: dom and codomain evaluate differently "
+                "(need dom = ancilla * cod)")
+
+    def canonical(self, k) -> CplaneChannel:
+        anc = self.interpret(k.ancilla)
+        if abs(anc.imag) > REL_TOL * max(1.0, abs(anc)):
+            raise TypingError(
+                "ancilla of a discrete-model channel must be real")
+        return cplane_channel(CplaneKraus(self.interpret(k.dom),
+                                          self.interpret(k.cod), anc.real))
 
     def random_object(self, rng, unitary: bool = False) -> ObjectExpr:
         if unitary:

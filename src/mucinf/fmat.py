@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import (DimensionOverflow, ShapeMismatch, SpaceMismatch,
                      TypingError, UnsupportedInModel)
+from .matc import (ChoiMatrix, bell_counit, bell_unit, choi,
+                   commutation_perm)
 from .morphisms import Model, Morphism, get_model, register_model
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
@@ -389,8 +391,6 @@ class FmatModel(Model):
         return fmat_dagger(f.payload)
 
     def structural_payload(self, name, args, dom, cod) -> SparseMatrix:
-        from .matc import bell_counit, bell_unit, commutation_perm
-
         src, tgt = self.interpret(dom), self.interpret(cod)
         if not (isinstance(src.index, FiniteIndex)
                 and isinstance(tgt.index, FiniteIndex)):
@@ -422,6 +422,36 @@ class FmatModel(Model):
         keys = set(a) | set(b)
         return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in keys),
                    default=0.0)
+
+    # channels -----------------------------------------------------------------
+    def check_payload(self, f: Morphism) -> None:
+        if f.payload.src != self.interpret(f.dom) \
+                or f.payload.tgt != self.interpret(f.cod):
+            raise TypingError("sparse payload spaces do not match typing")
+
+    def canonical(self, k) -> ChoiMatrix:
+        """The Choi matrix of the densified body: the product labels of
+        ``Par(U, B)`` run ancilla-first, as the dense model's rows do."""
+        spaces = [self.interpret(e) for e in (k.dom, k.cod, k.ancilla)]
+        if not all(isinstance(s.index, FiniteIndex) for s in spaces):
+            raise UnsupportedInModel(
+                "no decision procedure outside the finite fragment")
+        return choi(to_dense(k.body.payload), len(spaces[2].index.labels))
+
+    def kraus_compose_body(self, k1, k2) -> Morphism:
+        # direct support surgery: never materialises the identity on the
+        # first ancilla, so symbolic infinite ancillas compose fine
+        by_mid = {}
+        for b, vc, val in k2.body.payload.entries:
+            by_mid.setdefault(b, []).append((vc, val))
+        acc = {}
+        for x, (u, b), val1 in k1.body.payload.entries:
+            for (v, c), val2 in by_mid.get(b, ()):
+                key = (x, ((u, v), c))
+                acc[key] = acc.get(key, 0j) + val1 * val2
+        cod = Par(Par(k1.ancilla, k2.ancilla), k2.cod)
+        return Morphism(self.name, k1.dom, cod, sparse_from_dict(
+            self.interpret(k1.dom), self.interpret(cod), acc))
 
     # sampling -----------------------------------------------------------------
     def random_object(self, rng, unitary: bool = False) -> ObjectExpr:

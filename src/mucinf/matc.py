@@ -25,15 +25,20 @@ Conventions
   interpretation cost no matmul.
 * Size guards bound each side of a payload by ``DIM_LIMIT`` and its number
   of entries by ``ENTRY_LIMIT``, before anything is allocated.
+* Choi matrices live here: ``ChoiMatrix`` is the canonical form of a
+  channel in this model and in the finite fragment of ``fmat``, and
+  ``choi`` computes it from a Kraus body.
 """
 
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOverflow, NotHermitian, ShapeMismatch
+from .errors import (DimensionOverflow, DomCodMismatch, NotHermitian,
+                     ShapeMismatch, TypingError)
 from .morphisms import Model, Morphism, register_model
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
@@ -167,6 +172,50 @@ def hermitian_eig(h: np.ndarray):
     return w[::-1], _freeze(v[:, ::-1])
 
 
+@dataclass(frozen=True)
+class ChoiMatrix:
+    """Canonical invariant of a dense-model channel.
+
+    ``matrix`` is Hermitian of size (in*out) x (in*out) in the (out, in)
+    double-index convention: entry ((b,a),(b',a')) is the sum over Kraus
+    blocks of M[b,a] * conj(M[b',a']).  Positive semidefiniteness (within a
+    -1e-9 eigenvalue floor) holds for every matrix produced here and is
+    enforced where it matters, at purification.
+    """
+
+    matrix: np.ndarray
+    dim_in: int
+    dim_out: int
+
+    def __post_init__(self):
+        check_hermitian(self.matrix)
+        if self.matrix.shape[0] != self.dim_in * self.dim_out:
+            raise TypingError("Choi matrix size must be dim_in * dim_out")
+
+    def deviation(self, other: "ChoiMatrix") -> float:
+        """Largest entrywise difference; 0 exactly when equivalent."""
+        dims = (self.dim_in, self.dim_out)
+        if dims != (other.dim_in, other.dim_out):
+            raise DomCodMismatch(f"channel types differ: {dims} vs "
+                                 f"{(other.dim_in, other.dim_out)}")
+        return float(np.max(np.abs(self.matrix - other.matrix), initial=0.0))
+
+    def equiv(self, other: "ChoiMatrix", tol: float = 1e-9) -> bool:
+        return self.deviation(other) <= tol
+
+
+def choi(body: np.ndarray, ancilla_dim: int) -> ChoiMatrix:
+    """Glue a Kraus body ``(u*b) x a`` (ancilla wire first) to its dagger
+    along the ancilla."""
+    rows, a = body.shape
+    b = rows // ancilla_dim
+    w = body.reshape(ancilla_dim, b * a)
+    c = w.T @ w.conj()
+    # clip rounding asymmetry so the invariant holds exactly
+    c = (c + c.conj().T) / 2.0
+    return ChoiMatrix(c, a, b)
+
+
 # ---------------------------------------------------------------------------
 # the model
 
@@ -257,6 +306,16 @@ class MatModel(Model):
 
     def deviation(self, f: Morphism, g: Morphism) -> float:
         return float(np.max(np.abs(f.payload - g.payload), initial=0.0))
+
+    # channels ----------------------------------------------------------------
+    def check_payload(self, f: Morphism) -> None:
+        rows, cols = f.payload.shape
+        if rows != self.interpret(f.cod) or cols != self.interpret(f.dom):
+            raise TypingError(
+                f"payload shape {f.payload.shape} does not match typing")
+
+    def canonical(self, k) -> ChoiMatrix:
+        return choi(k.body.payload, self.interpret(k.ancilla))
 
     # sampling ----------------------------------------------------------------
     def random_object(self, rng, unitary: bool = False) -> ObjectExpr:

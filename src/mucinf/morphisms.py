@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from .errors import ModelMismatch, ShapeMismatch, UnknownModel
+from .errors import (ModelMismatch, ShapeMismatch, UnknownModel,
+                     UnsupportedInModel)
 from .objects import Dagger, ObjectExpr, Par, Tensor
 
 
@@ -94,6 +95,26 @@ class Model:
     def include(self, f: Morphism) -> Morphism:
         """Morphism part of the functor out of the unitary subcategory."""
         return f
+
+    # --- channels (see cpinf) ---------------------------------------------
+    def check_payload(self, f: Morphism) -> None:
+        """Raise TypingError unless the payload fits the interpreted dom/cod
+        of ``f``; a model without it has no channels."""
+        raise UnsupportedInModel(f"model {self.name} does not type channels")
+
+    def canonical(self, k) -> Any:
+        """Canonical form of the channel of representative ``k``: it offers
+        ``deviation(other)`` (0 exactly when equivalent) and ``equiv(other,
+        tol)``, and raises DomCodMismatch against a form of another type."""
+        raise UnsupportedInModel(
+            f"model {self.name} has no canonical form for channels")
+
+    def kraus_compose_body(self, k1, k2) -> Morphism:
+        """Body ``A -> Par(Par(U1, U2), C)`` of the composite channel:
+        ``f1 ; (1_U1 + f2) ; a+``."""
+        from .structural import structural  # structural imports this module
+        return (k1.body >> par(identity(self, k1.ancilla), k2.body)
+                >> structural(self, "a_par", [k1.ancilla, k2.ancilla, k2.cod]))
 
 
 _REGISTRY: Dict[str, Model] = {}

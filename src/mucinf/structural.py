@@ -25,7 +25,8 @@ Directions used throughout (diagram order):
                                     (identity-typed; the functor is strict)
 
 ``I``/``J`` are the tensor/par units, ``^`` the dagger, ``*`` after an
-object the linear dual.
+object the linear dual.  Every map above except c_tensor, c_par, dl, dr,
+eta and eps also has an inverse ``<name>_inv`` typed the other way round.
 """
 
 from __future__ import annotations
@@ -40,71 +41,45 @@ Signature = Tuple[ObjectExpr, ObjectExpr]
 _SIGS: Dict[str, Tuple[int, Callable[..., Signature]]] = {}
 
 
-def _sig(name: str, arity: int):
+def _sig(name: str, arity: int, invertible: bool = False):
+    """Register a signature; an invertible map also gets ``<name>_inv``,
+    typed the other way round."""
     def deco(fn):
         _SIGS[name] = (arity, fn)
+        if invertible:
+            _SIGS[f"{name}_inv"] = (arity, lambda *args: fn(*args)[::-1])
         return fn
     return deco
 
 
-@_sig("a_tensor", 3)
+@_sig("a_tensor", 3, invertible=True)
 def _(a, b, c):
     return Tensor(a, Tensor(b, c)), Tensor(Tensor(a, b), c)
 
 
-@_sig("a_tensor_inv", 3)
-def _(a, b, c):
-    return Tensor(Tensor(a, b), c), Tensor(a, Tensor(b, c))
-
-
-@_sig("a_par", 3)
+@_sig("a_par", 3, invertible=True)
 def _(a, b, c):
     return Par(a, Par(b, c)), Par(Par(a, b), c)
 
 
-@_sig("a_par_inv", 3)
-def _(a, b, c):
-    return Par(Par(a, b), c), Par(a, Par(b, c))
-
-
-@_sig("u_tensor_l", 1)
+@_sig("u_tensor_l", 1, invertible=True)
 def _(a):
     return Tensor(TOP, a), a
 
 
-@_sig("u_tensor_l_inv", 1)
-def _(a):
-    return a, Tensor(TOP, a)
-
-
-@_sig("u_tensor_r", 1)
+@_sig("u_tensor_r", 1, invertible=True)
 def _(a):
     return Tensor(a, TOP), a
 
 
-@_sig("u_tensor_r_inv", 1)
-def _(a):
-    return a, Tensor(a, TOP)
-
-
-@_sig("u_par_l", 1)
+@_sig("u_par_l", 1, invertible=True)
 def _(a):
     return Par(BOT, a), a
 
 
-@_sig("u_par_l_inv", 1)
-def _(a):
-    return a, Par(BOT, a)
-
-
-@_sig("u_par_r", 1)
+@_sig("u_par_r", 1, invertible=True)
 def _(a):
     return Par(a, BOT), a
-
-
-@_sig("u_par_r_inv", 1)
-def _(a):
-    return a, Par(a, BOT)
 
 
 @_sig("c_tensor", 2)
@@ -127,84 +102,44 @@ def _(a, b, c):
     return Tensor(Par(a, b), c), Par(a, Tensor(b, c))
 
 
-@_sig("m", 0)
+@_sig("m", 0, invertible=True)
 def _():
     return BOT, TOP
 
 
-@_sig("m_inv", 0)
-def _():
-    return TOP, BOT
-
-
-@_sig("mx", 2)
+@_sig("mx", 2, invertible=True)
 def _(a, b):
     return Tensor(a, b), Par(a, b)
 
 
-@_sig("mx_inv", 2)
-def _(a, b):
-    return Par(a, b), Tensor(a, b)
-
-
-@_sig("lam_tensor", 2)
+@_sig("lam_tensor", 2, invertible=True)
 def _(a, b):
     return Tensor(Dagger(a), Dagger(b)), Dagger(Par(a, b))
 
 
-@_sig("lam_tensor_inv", 2)
-def _(a, b):
-    return Dagger(Par(a, b)), Tensor(Dagger(a), Dagger(b))
-
-
-@_sig("lam_par", 2)
+@_sig("lam_par", 2, invertible=True)
 def _(a, b):
     return Par(Dagger(a), Dagger(b)), Dagger(Tensor(a, b))
 
 
-@_sig("lam_par_inv", 2)
-def _(a, b):
-    return Dagger(Tensor(a, b)), Par(Dagger(a), Dagger(b))
-
-
-@_sig("lam_top", 0)
+@_sig("lam_top", 0, invertible=True)
 def _():
     return TOP, Dagger(BOT)
 
 
-@_sig("lam_top_inv", 0)
-def _():
-    return Dagger(BOT), TOP
-
-
-@_sig("lam_bot", 0)
+@_sig("lam_bot", 0, invertible=True)
 def _():
     return BOT, Dagger(TOP)
 
 
-@_sig("lam_bot_inv", 0)
-def _():
-    return Dagger(TOP), BOT
-
-
-@_sig("iota", 1)
+@_sig("iota", 1, invertible=True)
 def _(a):
     return a, Dagger(Dagger(a))
 
 
-@_sig("iota_inv", 1)
-def _(a):
-    return Dagger(Dagger(a)), a
-
-
-@_sig("phi", 1)
+@_sig("phi", 1, invertible=True)
 def _(a):
     return a, Dagger(a)
-
-
-@_sig("phi_inv", 1)
-def _(a):
-    return Dagger(a), a
 
 
 @_sig("eta", 1)
@@ -217,52 +152,27 @@ def _(a):
     return Tensor(Dual(a), a), BOT
 
 
-@_sig("rho", 1)
+@_sig("rho", 1, invertible=True)
 def _(a):
     return Dagger(a), Dagger(a)
 
 
-@_sig("rho_inv", 1)
-def _(a):
-    return Dagger(a), Dagger(a)
-
-
-@_sig("m_top", 0)
+@_sig("m_top", 0, invertible=True)
 def _():
     return TOP, TOP
 
 
-@_sig("m_top_inv", 0)
-def _():
-    return TOP, TOP
-
-
-@_sig("n_bot", 0)
+@_sig("n_bot", 0, invertible=True)
 def _():
     return BOT, BOT
 
 
-@_sig("n_bot_inv", 0)
-def _():
-    return BOT, BOT
-
-
-@_sig("m_tensor", 2)
+@_sig("m_tensor", 2, invertible=True)
 def _(a, b):
     return Tensor(a, b), Tensor(a, b)
 
 
-@_sig("m_tensor_inv", 2)
-def _(a, b):
-    return Tensor(a, b), Tensor(a, b)
-
-
-@_sig("n_par", 2)
-def _(a, b):
-    return Par(a, b), Par(a, b)
-
-
-@_sig("n_par_inv", 2)
+@_sig("n_par", 2, invertible=True)
 def _(a, b):
     return Par(a, b), Par(a, b)
 

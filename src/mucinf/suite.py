@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import cpinf
-from .errors import MucinfError, UnknownLaw
+from .errors import UnknownLaw
 from .laws import LawCheckReport, catalog, check_law
 from .matc import random_unitary
 from .morphisms import Model, Morphism, dagger, get_model, identity
@@ -44,20 +44,21 @@ TrialFn = Callable[[Model, np.random.Generator, float],
 
 
 @dataclass(frozen=True)
-class PropertyEntry:
+class Entry:
+    """A catalog law or a property, run trial by trial."""
+
     entry_id: str
     anchor: str
     models: Tuple[str, ...]
     trial: TrialFn
 
 
-_PROPERTIES: Dict[str, PropertyEntry] = {}
+_PROPERTIES: Dict[str, Entry] = {}
 
 
 def _prop(entry_id: str, anchor: str, models=("mat",)):
     def deco(fn):
-        _PROPERTIES[entry_id] = PropertyEntry(entry_id, anchor,
-                                              tuple(models), fn)
+        _PROPERTIES[entry_id] = Entry(entry_id, anchor, tuple(models), fn)
         return fn
     return deco
 
@@ -299,7 +300,8 @@ def _(model, rng, tol):
 @_prop("CP-PURIFY-ROUNDTRIP", "purify(choi(k)) ~ k")
 def _(model, rng, tol):
     k = cpinf.random_kraus(rng, model=model.name)
-    return cpinf.channel_deviation(cpinf.purify(cpinf.to_choi(k)), k), None
+    return cpinf.channel_deviation(
+        cpinf.purify(cpinf.to_choi(k), model.name), k), None
 
 
 def _env_entry(axiom):
@@ -314,8 +316,7 @@ for _axiom, _text in (
         ("Env.1b", "discard of a par = glued par of discards"),
         ("Env.2", "the discard equation decides equivalence"),
         ("Env.3", "every channel purifies through the discard")):
-    _PROPERTIES[_axiom] = PropertyEntry(_axiom, _text, ("mat",),
-                                        _env_entry(_axiom))
+    _PROPERTIES[_axiom] = Entry(_axiom, _text, ("mat",), _env_entry(_axiom))
 
 
 # ---------------------------------------------------------------------------
@@ -473,31 +474,26 @@ def list_laws() -> List[dict]:
     return out
 
 
-def _run_catalog_entry(law, model: Model, cfg: SuiteConfig) -> LawCheckReport:
-    rng = _entry_rng(cfg.seed, law.law_id, model.name)
-    worst, witness = 0.0, None
-    for trial in range(cfg.trials):
+def _law_trial(law) -> TrialFn:
+    """One catalog law as a trial: sample its objects, check it once."""
+    def trial(model, rng, tol):
         objects = [model.random_object(rng, unitary=law.needs_unitary)
                    for _ in range(law.arity)]
-        rep = check_law(law.law_id, model, objects, rng=rng, tol=cfg.tol)
-        if rep.max_abs_deviation > worst:
-            worst = rep.max_abs_deviation
-            if not rep.passed:
-                witness = dict(rep.witness or {})
-                witness["trial"] = trial
-    return LawCheckReport(law=law.law_id, model=model.name, trials=cfg.trials,
-                          max_abs_deviation=worst, passed=worst <= cfg.tol,
-                          witness=witness, seed=cfg.seed, tol=cfg.tol)
+        rep = check_law(law.law_id, model, objects, rng=rng, tol=tol)
+        return rep.max_abs_deviation, rep.witness
+    return trial
 
 
-def _run_property_entry(entry: PropertyEntry, model: Model,
-                        cfg: SuiteConfig) -> LawCheckReport:
+def _run_entry(entry: Entry, model: Model,
+               cfg: SuiteConfig) -> LawCheckReport:
+    """Run every trial; a trial that raises is a failed one, and the run
+    goes on."""
     rng = _entry_rng(cfg.seed, entry.entry_id, model.name)
     worst, witness = 0.0, None
     for trial in range(cfg.trials):
         try:
             dev, info = entry.trial(model, rng, cfg.tol)
-        except MucinfError as exc:
+        except Exception as exc:
             dev = float("inf")
             info = {"error": f"{type(exc).__name__}: {exc}"}
         if dev > worst:
@@ -514,19 +510,13 @@ def _run_property_entry(entry: PropertyEntry, model: Model,
 def run_suite(cfg: SuiteConfig) -> List[LawCheckReport]:
     """One report per (entry, model) pair, deterministic for a given config."""
     models = [get_model(name) for name in cfg.models]
-    laws = catalog()
-    if cfg.law_filter != "*" and not any(
-            fnmatch.fnmatch(name, cfg.law_filter)
-            for name in [*laws, *_PROPERTIES]):
+    entries = [Entry(law.law_id, law.anchor, law.models, _law_trial(law))
+               for law in catalog().values()] + list(_PROPERTIES.values())
+    chosen = [e for e in entries
+              if fnmatch.fnmatch(e.entry_id, cfg.law_filter)]
+    if not chosen:
         raise UnknownLaw(f"filter {cfg.law_filter!r} matches no law")
-    reports = []
-    for law in laws.values():
-        if fnmatch.fnmatch(law.law_id, cfg.law_filter):
-            reports += [_run_catalog_entry(law, m, cfg) for m in models
-                        if m.base in law.models]
-    for entry in _PROPERTIES.values():
-        if fnmatch.fnmatch(entry.entry_id, cfg.law_filter):
-            reports += [_run_property_entry(entry, m, cfg) for m in models
-                        if m.base in entry.models]
+    reports = [_run_entry(entry, m, cfg) for entry in chosen
+               for m in models if m.base in entry.models]
     reports.sort(key=lambda r: (r.law, r.model))
     return reports

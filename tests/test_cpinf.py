@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,13 @@ from mucinf.cpinf import (EnvStructure, canonical_env, channel,
                           kraus_new, kraus_par, kraus_tensor,
                           pure_decomposition, purify, random_density,
                           random_kraus, to_choi)
+from mucinf.cplane import CplaneChannel
 from mucinf.errors import (DomCodMismatch, NotPSD, TypingError,
                            UnsupportedInModel)
+from mucinf.fmat import to_dense
 from mucinf.matc import mat_identity, random_unitary
-from mucinf.morphisms import Morphism, get_model
+from mucinf.morphisms import (Model, Morphism, get_model, register_model,
+                              unregister_model)
 from mucinf.objects import BOT, Base, Par, Tensor
 
 MAT = get_model("mat")
@@ -478,3 +484,80 @@ class TestFmatChannels:
         k = kraus_new(Morphism("fmat", b, Par(u, b), payload), u)
         with pytest.raises(UnsupportedInModel):
             equiv_decide(k, k)
+
+
+def fmat_kraus(rng, a, b, u):
+    """An fmat representative: an included dense body, retyped onto Par."""
+    fm = get_model("fmat")
+    f = fm.include(MAT.random_morphism(rng, Base(a),
+                                       Tensor(Base(u), Base(b))))
+    return kraus_new(Morphism("fmat", f.dom, Par(f.cod.left, f.cod.right),
+                              f.payload), f.cod.left)
+
+
+class TestCanonicalForms:
+    def test_fmat_choi_is_the_choi_of_the_dense_channel(self):
+        rng = np.random.default_rng(5)
+        for a, b, u in [(1, 1, 1), (2, 3, 2), (3, 2, 3)]:
+            k = fmat_kraus(rng, a, b, u)
+            dense = make_kraus(to_dense(k.body.payload), a, b, u)
+            assert np.array_equal(channel(k).canonical.matrix,
+                                  to_choi(dense).matrix)
+
+    def test_fmat_compose_surgery_matches_the_generic_wiring(self):
+        rng = np.random.default_rng(6)
+        fm = get_model("fmat")
+        k1, k2 = fmat_kraus(rng, 2, 3, 2), fmat_kraus(rng, 3, 2, 2)
+        generic = Model.kraus_compose_body(fm, k1, k2)
+        surgery = fm.kraus_compose_body(k1, k2)
+        assert (generic.dom, generic.cod) == (surgery.dom, surgery.cod)
+        assert fm.deviation(generic, surgery) <= 1e-12
+
+    def test_equals_compares_the_stored_forms(self, monkeypatch):
+        k = random_kraus(RNG, 2, 2, 2)
+        same = channel(k), channel(equivalent_variant(RNG, k))
+        other = channel(random_kraus(RNG, 2, 2, 2))
+        wider = channel(random_kraus(RNG, 2, 3, 2))
+
+        def recompute(_):
+            raise AssertionError("equals recomputed a canonical form")
+
+        monkeypatch.setattr(MAT, "canonical", recompute)
+        assert same[0].equals(same[1])
+        assert not same[0].equals(other)
+        assert not same[0].equals(wider)
+
+    def test_cplane_form_is_exact_whatever_the_tolerance(self):
+        pinned = channel(cp_kraus(6, 2, 3)).canonical
+        assert isinstance(pinned, CplaneChannel) and pinned.ratio == 2.0
+        near = CplaneChannel(6 + 0j, 3 + 0j, 2.0 + 1e-6)
+        assert not pinned.equiv(near, tol=1.0)
+        assert pinned.deviation(near) == pytest.approx(1e-6)
+
+    def test_a_model_without_body_typing_has_no_channels(self):
+        class Untyped(Model):
+            name, base = "untyped", "mat"
+
+        register_model(Untyped())
+        try:
+            body = Morphism("untyped", Base(2), Par(Base(1), Base(2)),
+                            "any payload at all")
+            with pytest.raises(UnsupportedInModel):
+                kraus_new(body, Base(1))
+        finally:
+            unregister_model("untyped")
+
+    def test_cpinf_knows_no_concrete_model(self):
+        # every model-specific decision sits behind the Model interface
+        tree = ast.parse(Path(cpinf.__file__).read_text())
+        froms = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+        imported = {(node.module or "").rsplit(".", 1)[-1] for node in froms}
+        imported |= {alias.name for node in froms for alias in node.names}
+        assert not imported & {"cplane", "fmat"}
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        assert not (names | imported) & {"MatModel", "FmatModel",
+                                         "CplaneModel"}

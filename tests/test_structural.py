@@ -78,3 +78,27 @@ def test_cplane_morphisms_are_parallel_only_when_objects_match():
 def test_catalog_of_names_is_closed():
     assert "mx" in STRUCTURAL_NAMES and "lam_par_inv" in STRUCTURAL_NAMES
     assert len(STRUCTURAL_NAMES) >= 38
+
+
+INVERTIBLE = ("a_tensor", "a_par", "u_tensor_l", "u_tensor_r", "u_par_l",
+              "u_par_r", "m", "mx", "lam_tensor", "lam_par", "lam_top",
+              "lam_bot", "iota", "phi", "rho", "m_top", "n_bot", "m_tensor",
+              "n_par")
+
+
+def test_inverse_signatures_swap_the_forward_ones():
+    objects = [Base(2), Tensor(Base(3), Dagger(Base(1))),
+               Par(TOP, Dual(Base(2)))]
+    inverses = {name for name in STRUCTURAL_NAMES if name.endswith("_inv")}
+    assert inverses == {f"{name}_inv" for name in INVERTIBLE}
+    assert len(STRUCTURAL_NAMES) == 44
+    for name in INVERTIBLE:
+        for count in range(len(objects) + 1):
+            try:
+                dom, cod = signature(name, objects[:count])
+            except ArityError:
+                continue
+            assert signature(f"{name}_inv", objects[:count]) == (cod, dom)
+            break
+        else:
+            raise AssertionError(f"no arity fits {name}")

@@ -140,3 +140,45 @@ def test_cplane_mutant_channels_are_built_in_the_mutant():
     assert "cplane-x" not in registered_models()
     with pytest.raises(UnknownModel):
         run_suite(cfg)
+
+
+def test_unmutated_twin_passes_every_report():
+    # channel samplers follow the entry's model instead of defaulting to
+    # "mat", so a correct copy of the dense model is a correct model
+    with registered(MatModel("mat-twin")):
+        reps = run_suite(SuiteConfig(models=("mat-twin",), trials=5, seed=7))
+    assert len(reps) == 61
+    assert [r.law for r in reps if not r.passed] == []
+
+
+class _CrashingCup(MatModel):
+    def structural_payload(self, name, args, dom, cod):
+        if name == "eta":
+            raise ZeroDivisionError("cup")
+        return super().structural_payload(name, args, dom, cod)
+
+
+def test_a_crashing_entry_becomes_a_failed_report():
+    with registered(_CrashingCup("mat-crash")):
+        reps = run_suite(SuiteConfig(models=("mat-crash",), trials=3, seed=7))
+    failed = {r.law: r for r in reps if not r.passed}
+    assert sorted(failed) == ["SNAKE-L", "SNAKE-R", "UDUALa", "UDUALb"]
+    for rep in failed.values():
+        assert rep.max_abs_deviation == float("inf")
+        assert rep.witness == {"error": "ZeroDivisionError: cup", "trial": 0}
+    assert len(reps) == 61
+
+
+def test_catalog_trials_look_up_check_law_when_run(monkeypatch):
+    # a wrapper installed after import (as a tracer does) sees every trial
+    from mucinf import suite
+    seen = []
+    original = suite.check_law
+
+    def counting(*args, **kwargs):
+        seen.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "check_law", counting)
+    run_suite(SuiteConfig(models=("mat",), trials=3, law_filter="DLDC7a"))
+    assert seen == ["DLDC7a"] * 3
