@@ -17,6 +17,7 @@ the comparison functor between two environment presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -128,10 +129,10 @@ def kraus_par(k1: KrausMorphism, k2: KrausMorphism) -> KrausMorphism:
 
 
 def _dense(model: str) -> Model:
-    """The model, which must be of the dense family: the analyses below
-    read its payloads as matrices."""
+    """The model, which must be dense: the analyses below read its payloads
+    as matrices."""
     m = get_model(model)
-    if m.base != "mat":
+    if not m.dense:
         raise UnsupportedInModel(
             f"operation needs the dense model, got {model}")
     return m
@@ -278,16 +279,13 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
 # samplers used by the suite and the acceptance checks
 
 
-def random_kraus(rng, dom_dim: Optional[int] = None,
-                 cod_dim: Optional[int] = None,
-                 ancilla_dim: Optional[int] = None,
-                 model: str = "mat") -> KrausMorphism:
-    m = get_model(model)
-    a = dom_dim if dom_dim is not None else int(rng.integers(1, 4))
-    b = cod_dim if cod_dim is not None else int(rng.integers(1, 4))
-    u = ancilla_dim if ancilla_dim is not None else int(rng.integers(1, 4))
-    body = m.random_morphism(rng, Base(a), Par(Base(u), Base(b)))
-    return kraus_new(body, Base(u))
+def random_channel(model: Model, rng, dom: Optional[ObjectExpr] = None,
+                   cod: Optional[ObjectExpr] = None,
+                   ancilla: Optional[ObjectExpr] = None) -> KrausMorphism:
+    """A random representative in ``model``; the model draws the objects
+    left out (see ``Model.random_kraus_body``)."""
+    body = model.random_kraus_body(rng, dom, cod, ancilla)
+    return kraus_new(body, body.cod.left)
 
 
 def equivalent_variant(rng, k: KrausMorphism) -> KrausMorphism:
@@ -309,13 +307,12 @@ def equivalent_variant(rng, k: KrausMorphism) -> KrausMorphism:
     return kraus_new(body, Base(new_u))
 
 
-def distinct_pair(rng, dom_dim=None, cod_dim=None, min_gap: float = 1e-3):
+def distinct_pair(model: Model, rng, dom: Optional[ObjectExpr] = None,
+                  cod: Optional[ObjectExpr] = None, min_gap: float = 1e-3):
     """Two representatives of provably different channels."""
-    a = dom_dim if dom_dim is not None else int(rng.integers(1, 4))
-    b = cod_dim if cod_dim is not None else int(rng.integers(1, 4))
-    k1 = random_kraus(rng, a, b)
+    k1 = random_channel(model, rng, dom, cod)
     while True:
-        k2 = random_kraus(rng, a, b)
+        k2 = random_channel(model, rng, k1.dom, k1.cod)
         if channel_deviation(k1, k2) > min_gap:
             return k1, k2
 
@@ -324,19 +321,6 @@ def random_density(rng, dim: int) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = z @ z.conj().T
     return rho / np.trace(rho).real
-
-
-def random_cplane_kraus(rng, cod: Optional[complex] = None) -> KrausMorphism:
-    """A discrete-model representative with a random nonzero real ancilla."""
-    if cod is None:
-        cod = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(cod) < 0.25:
-            cod += 0.5
-    r = (0.25 + 1.75 * rng.random()) * (1 if rng.random() < 0.5 else -1)
-    dom = complex(r) * cod
-    body = Morphism("cplane", Base(dom), Par(Base(complex(r)), Base(cod)),
-                    None)
-    return kraus_new(body, Base(complex(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +412,7 @@ def env_axiom_trial(structure: EnvStructure, axiom: str, rng,
     m = _dense(structure.model)
 
     if axiom in ("Env.1a", "Env.1b"):
-        u_expr = Base(int(rng.integers(1, 4)))
-        v_expr = Base(int(rng.integers(1, 4)))
+        u_expr, v_expr = m.random_chain(rng, 1, unitary=True)
         unit_glue = structure.functor(structural(m, "u_par_l", [BOT]))
         pair = kraus_par(structure.discard(u_expr), structure.discard(v_expr))
         if axiom == "Env.1a":
@@ -451,13 +434,12 @@ def env_axiom_trial(structure: EnvStructure, axiom: str, rng,
 
     if axiom == "Env.2":
         # the discard equation holds iff the representatives are equivalent
-        k1 = random_kraus(rng, model=m.name)
+        k1 = random_channel(m, rng)
         if rng.random() < 0.5:
             k2 = equivalent_variant(rng, k1)
             expected = True
         else:
-            k2 = random_kraus(rng, m.interpret(k1.dom), m.interpret(k1.cod),
-                              model=m.name)
+            k2 = random_channel(m, rng, k1.dom, k1.cod)
             expected = equiv_decide(k1, k2, tol)
         sides_equal = equiv_decide(env_factor(structure, k1),
                                    env_factor(structure, k2), tol)
@@ -466,7 +448,7 @@ def env_axiom_trial(structure: EnvStructure, axiom: str, rng,
 
     if axiom == "Env.3":
         # purification: every channel factors as a pure map then discard
-        k = random_kraus(rng, model=m.name)
+        k = random_channel(m, rng)
         rebuilt = env_factor(structure, purify(to_choi(k), m.name))
         return channel_deviation(rebuilt, k), None
 
@@ -479,22 +461,14 @@ def env_check(structure: EnvStructure, trials: int = 20,
 
     Returns one LawCheckReport per axiom; zero trials pass vacuously.
     """
-    from .laws import LawCheckReport
+    from .laws import run_trials
 
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
-    reports = []
-    for axiom in ENV_AXIOMS:
-        worst, witness = 0.0, None
-        for _ in range(max(0, trials)):
-            dev, info = env_axiom_trial(structure, axiom, rng, tol)
-            if dev > worst:
-                worst, witness = dev, (info if dev > tol else None)
-        reports.append(LawCheckReport(
-            law=axiom, model=structure.model, trials=trials,
-            max_abs_deviation=worst, passed=worst <= tol,
-            witness=witness, seed=seed, tol=tol))
-    return reports
+    return [run_trials(axiom, structure.model,
+                       partial(env_axiom_trial, structure, axiom, tol=tol),
+                       trials, rng, tol, seed)
+            for axiom in ENV_AXIOMS]
 
 
 def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
@@ -515,14 +489,14 @@ def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
               "discard": 0}
     failures = []
     for i in range(max(0, samples)):
-        k1 = random_kraus(rng, model=m.name)
+        k1 = random_channel(m, rng)
         k1_alt = equivalent_variant(rng, k1)
         if equiv_decide(transport(k1), transport(k1_alt), 1e-7):
             checks["well_defined"] += 1
         else:
             failures.append({"check": "well_defined", "sample": i})
 
-        k2 = random_kraus(rng, m.interpret(k1.cod), model=m.name)
+        k2 = random_channel(m, rng, k1.cod)
         lhs = transport(kraus_compose(k1, k2))
         rhs = kraus_compose(transport(k1), transport(k2))
         if equiv_decide(lhs, rhs, 1e-7):
@@ -530,14 +504,14 @@ def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
         else:
             failures.append({"check": "functorial", "sample": i})
 
-        a = Base(int(rng.integers(1, 4)))
+        (a,) = m.random_chain(rng, 0)
         if equiv_decide(transport(kraus_identity(m, a)),
                         kraus_identity(m, a), 1e-7):
             checks["identity"] += 1
         else:
             failures.append({"check": "identity", "sample": i})
 
-        u = Base(int(rng.integers(1, 4)))
+        (u,) = m.random_chain(rng, 0, unitary=True)
         if equiv_decide(transport(src.discard(u)), tgt.discard(u), 1e-7):
             checks["discard"] += 1
         else:

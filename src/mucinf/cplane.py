@@ -192,6 +192,25 @@ class CplaneModel(Model):
                 "the discrete model only has identity maps")
         return Morphism(self.name, dom, cod, None)
 
+    def random_chain(self, rng, length: int, unitary: bool = False) -> list:
+        # only identities exist, so every link is the same object
+        return [self.random_object(rng, unitary=unitary)] * (length + 1)
+
+    def random_kraus_body(self, rng, dom=None, cod=None, ancilla=None):
+        """Bodies exist only where dom = ancilla * cod, so a given dom fixes
+        cod."""
+        # drawn even when dom fixes cod, so giving dom leaves the stream as is
+        drawn = self.random_object(rng) if cod is None else cod
+        if ancilla is None:
+            ancilla = self.random_object(rng, unitary=True)
+        r = self.interpret(ancilla)
+        if dom is None:
+            cod = drawn
+            dom = Base(r * self.interpret(cod))
+        elif cod is None:
+            cod = Base(self.interpret(dom) / r)
+        return Morphism(self.name, dom, Par(ancilla, cod), None)
+
 
 CPLANE = CplaneModel()
 register_model(CPLANE)

@@ -22,7 +22,7 @@ from .errors import (ArityError, MucinfError, UnknownLaw,
                      UnsupportedInModel)
 from .morphisms import (Model, Morphism, dagger, get_model, identity, par,
                         tensor)
-from .objects import BOT, TOP, Base, Dagger, Dual, ObjectExpr, Par, Tensor
+from .objects import BOT, TOP, Dagger, Dual, ObjectExpr, Par, Tensor
 from .structural import structural
 
 
@@ -79,14 +79,12 @@ class LawContext:
     # the unitary subcategory, presented by the donor model
     def donor_base(self) -> ObjectExpr:
         donor = self.model.unitary_donor
-        if donor.base == "cplane":
-            return donor.random_object(self.rng, unitary=True)
-        return Base(int(self.rng.integers(1, 4)))
+        (a,) = donor.random_chain(self.rng, 0, unitary=True)
+        return a
 
     def donor_arrow(self):
         donor = self.model.unitary_donor
-        a = self.donor_base()
-        b = a if donor.base == "cplane" else self.donor_base()
+        a, b = donor.random_chain(self.rng, 1, unitary=True)
         return a, b, donor.random_morphism(self.rng, a, b)
 
     def donor_structural(self, name: str, *args: ObjectExpr) -> Morphism:
@@ -546,6 +544,37 @@ def _(ctx):
 # running a law
 
 
+def fold_deviation(worst: float, dev: float) -> float:
+    """The larger deviation, counting NaN as inf: ``max`` and ``>`` would
+    drop a NaN, and a law whose sides hold NaN would pass."""
+    return math.inf if math.isnan(dev) else max(worst, dev)
+
+
+def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
+               tol: float, seed: Optional[int] = None) -> LawCheckReport:
+    """Run ``trial(rng) -> (deviation, info)`` ``trials`` times and report
+    the worst deviation.
+
+    A trial that raises is a failed one, and the run goes on.  The witness
+    is the info of the first trial that reached the worst deviation above
+    ``tol``, with that trial's index.
+    """
+    worst, witness = 0.0, None
+    for index in range(trials):
+        try:
+            dev, info = trial(rng)
+        except Exception as exc:
+            dev, info = math.inf, {"error": f"{type(exc).__name__}: {exc}"}
+        folded = fold_deviation(worst, dev)
+        if folded > worst:
+            worst = folded
+            if worst > tol:
+                witness = {**(info or {}), "trial": index}
+    return LawCheckReport(law=law_id, model=model_name, trials=trials,
+                          max_abs_deviation=worst, passed=worst <= tol,
+                          witness=witness, seed=seed, tol=tol)
+
+
 def check_law(law_id: str, model: Model | str, objects=None, rng=None,
               tol: float = 1e-9, seed: Optional[int] = None) -> LawCheckReport:
     """Build both sides of a law once and compare them.
@@ -578,7 +607,7 @@ def check_law(law_id: str, model: Model | str, objects=None, rng=None,
                 raise MucinfError(
                     f"sides of {law_id} are not parallel: "
                     f"{lhs.dom}->{lhs.cod} vs {rhs.dom}->{rhs.cod}")
-            dev = max(dev, _dev(lhs, rhs))
+            dev = fold_deviation(dev, _dev(lhs, rhs))
     except UnsupportedInModel:
         raise
     except MucinfError as exc:

@@ -132,7 +132,8 @@ def bell_counit(a: int) -> np.ndarray:
 def check_hermitian(h: np.ndarray, tol: float = 1e-9) -> None:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {h.shape}")
-    if np.max(np.abs(h - h.conj().T), initial=0.0) > tol:
+    # phrased so that NaN, which fails every comparison, is rejected
+    if not np.max(np.abs(h - h.conj().T), initial=0.0) <= tol:
         raise NotHermitian(f"matrix is not Hermitian within {tol}")
 
 
@@ -229,6 +230,7 @@ class MatModel(Model):
     """
 
     base = "mat"
+    dense = True
 
     def __init__(self, name: str = "mat", mutations=()):
         self.name = name
@@ -329,6 +331,10 @@ class MatModel(Model):
         if shape < 0.95:
             return Par(leaf(), leaf())
         return Dagger(leaf())
+
+    def random_chain(self, rng, length: int, unitary: bool = False) -> list:
+        # plain leaves: every object is unitary and any two have maps
+        return [Base(int(rng.integers(1, 4))) for _ in range(length + 1)]
 
     def random_morphism(self, rng, dom: ObjectExpr, cod: ObjectExpr) -> Morphism:
         rows, cols = self.interpret(cod), self.interpret(dom)

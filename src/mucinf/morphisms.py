@@ -13,7 +13,7 @@ suite can dispatch on the model id alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from .errors import (ModelMismatch, ShapeMismatch, UnknownModel,
                      UnsupportedInModel)
@@ -44,6 +44,9 @@ class Model:
     # the family whose laws apply ("mat", "cplane" or "fmat"); every
     # concrete class sets it, and a mutant inherits it from its class
     base: str
+    # payloads are complex cod x dom matrices, which the channel analyses
+    # of cpinf (Kraus blocks, action, adjoint, purification) read directly
+    dense: bool = False
 
     # --- interpretation -------------------------------------------------
     def interpret(self, expr: ObjectExpr) -> Any:
@@ -81,6 +84,24 @@ class Model:
 
     def random_morphism(self, rng, dom: ObjectExpr, cod: ObjectExpr) -> Morphism:
         raise NotImplementedError
+
+    def random_chain(self, rng, length: int, unitary: bool = False) -> list:
+        """``length + 1`` objects with random morphisms between neighbours."""
+        return [self.random_object(rng, unitary=unitary)
+                for _ in range(length + 1)]
+
+    def random_kraus_body(self, rng, dom: Optional[ObjectExpr] = None,
+                          cod: Optional[ObjectExpr] = None,
+                          ancilla: Optional[ObjectExpr] = None) -> Morphism:
+        """A random channel body ``dom -> Par(ancilla, cod)``; the objects
+        left out are drawn in the order dom, cod, ancilla."""
+        if dom is None:
+            (dom,) = self.random_chain(rng, 0)
+        if cod is None:
+            (cod,) = self.random_chain(rng, 0)
+        if ancilla is None:
+            (ancilla,) = self.random_chain(rng, 0, unitary=True)
+        return self.random_morphism(rng, dom, Par(ancilla, cod))
 
     # --- the functor from the unitary subcategory ------------------------
     @property

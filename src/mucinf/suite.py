@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cpinf
 from .errors import UnknownLaw
-from .laws import LawCheckReport, catalog, check_law
+from .laws import LawCheckReport, catalog, check_law, run_trials
 from .matc import random_unitary
 from .morphisms import Model, Morphism, dagger, get_model, identity
 from .objects import Base, Par, Tensor
@@ -63,38 +63,15 @@ def _prop(entry_id: str, anchor: str, models=("mat",)):
     return deco
 
 
-def _rand_kraus(model: Model, rng) -> cpinf.KrausMorphism:
-    if model.base == "cplane":
-        # the same draws, under this model's id rather than "cplane"
-        k = cpinf.random_cplane_kraus(rng)
-        body = Morphism(model.name, k.dom, k.body.cod, None)
-        return cpinf.kraus_new(body, k.ancilla)
-    return cpinf.random_kraus(rng, model=model.name)
-
-
-def _rand_kraus_from(model: Model, rng, src: cpinf.KrausMorphism):
-    """A random representative whose domain is ``src``'s codomain."""
-    if model.base == "cplane":
-        k = cpinf.random_cplane_kraus(rng)
-        # rebase so the chain composes: scale the new codomain
-        cod = model.interpret(src.cod)
-        r = k.ancilla.label
-        body = Morphism(model.name, src.cod,
-                        Par(Base(r), Base(cod / r)), None)
-        return cpinf.kraus_new(body, Base(r))
-    return cpinf.random_kraus(rng, model.interpret(src.cod),
-                              model=model.name)
-
-
 # ---------------------------------------------------------------------------
 # channel category laws
 
 
 @_prop("CP-CAT-ASSOC", "(k1 k2) k3 ~ k1 (k2 k3)", ("mat", "cplane"))
 def _(model, rng, tol):
-    k1 = _rand_kraus(model, rng)
-    k2 = _rand_kraus_from(model, rng, k1)
-    k3 = _rand_kraus_from(model, rng, k2)
+    k1 = cpinf.random_channel(model, rng)
+    k2 = cpinf.random_channel(model, rng, k1.cod)
+    k3 = cpinf.random_channel(model, rng, k2.cod)
     lhs = cpinf.kraus_compose(cpinf.kraus_compose(k1, k2), k3)
     rhs = cpinf.kraus_compose(k1, cpinf.kraus_compose(k2, k3))
     return cpinf.channel_deviation(lhs, rhs), None
@@ -102,7 +79,7 @@ def _(model, rng, tol):
 
 @_prop("CP-CAT-IDENT", "1 k ~ k ~ k 1", ("mat", "cplane"))
 def _(model, rng, tol):
-    k = _rand_kraus(model, rng)
+    k = cpinf.random_channel(model, rng)
     left = cpinf.kraus_compose(cpinf.kraus_identity(model, k.dom), k)
     right = cpinf.kraus_compose(k, cpinf.kraus_identity(model, k.cod))
     return max(cpinf.channel_deviation(left, k),
@@ -111,11 +88,10 @@ def _(model, rng, tol):
 
 @_prop("CP-WELLDEF", "k1 ~ k1' implies k0 k1 ~ k0 k1' and k1 k2 ~ k1' k2")
 def _(model, rng, tol):
-    k1 = cpinf.random_kraus(rng, model=model.name)
+    k1 = cpinf.random_channel(model, rng)
     k1_alt = cpinf.equivalent_variant(rng, k1)
-    k2 = cpinf.random_kraus(rng, model.interpret(k1.cod), model=model.name)
-    k0 = cpinf.random_kraus(rng, None, model.interpret(k1.dom),
-                            model=model.name)
+    k2 = cpinf.random_channel(model, rng, k1.cod)
+    k0 = cpinf.random_channel(model, rng, cod=k1.dom)
     post = cpinf.channel_deviation(cpinf.kraus_compose(k1, k2),
                                    cpinf.kraus_compose(k1_alt, k2))
     pre = cpinf.channel_deviation(cpinf.kraus_compose(k0, k1),
@@ -127,7 +103,7 @@ def _(model, rng, tol):
        "canonical-form decision agrees with the test-map oracle")
 def _(model, rng, tol):
     if rng.random() < 0.5:
-        k1 = cpinf.random_kraus(rng, model=model.name)
+        k1 = cpinf.random_channel(model, rng)
         k2 = cpinf.equivalent_variant(rng, k1)
         if not cpinf.equiv_decide(k1, k2, tol):
             return 1.0, {"side": "decide on an equivalent pair"}
@@ -137,13 +113,7 @@ def _(model, rng, tol):
             return 1.0, {"side": "oracle witness on an equivalent pair",
                          "witness": oracle["witness"]}
     else:
-        k1, k2 = cpinf.distinct_pair(rng)
-        k1 = cpinf.KrausMorphism(model.name, k1.dom, k1.cod, k1.ancilla,
-                                 Morphism(model.name, k1.body.dom,
-                                          k1.body.cod, k1.body.payload))
-        k2 = cpinf.KrausMorphism(model.name, k2.dom, k2.cod, k2.ancilla,
-                                 Morphism(model.name, k2.body.dom,
-                                          k2.body.cod, k2.body.payload))
+        k1, k2 = cpinf.distinct_pair(model, rng)
         if cpinf.equiv_decide(k1, k2, tol):
             return 1.0, {"side": "decide on a distinct pair"}
         oracle = cpinf.equiv_testmap_oracle(k1, k2, trials=200, rng=rng)
@@ -154,8 +124,8 @@ def _(model, rng, tol):
 
 @_prop("CP-TENSOR-ACTION", "(k1 x k2)(rho1 x rho2) = k1(rho1) x k2(rho2)")
 def _(model, rng, tol):
-    k1 = cpinf.random_kraus(rng, model=model.name)
-    k2 = cpinf.random_kraus(rng, model=model.name)
+    k1 = cpinf.random_channel(model, rng)
+    k2 = cpinf.random_channel(model, rng)
     r1 = cpinf.random_density(rng, model.interpret(k1.dom))
     r2 = cpinf.random_density(rng, model.interpret(k2.dom))
     joint = cpinf.channel_action(cpinf.kraus_tensor(k1, k2), np.kron(r1, r2))
@@ -166,8 +136,8 @@ def _(model, rng, tol):
 
 @_prop("CP-PAR-ACTION", "(k1 + k2)(rho1 x rho2) = k1(rho1) x k2(rho2)")
 def _(model, rng, tol):
-    k1 = cpinf.random_kraus(rng, model=model.name)
-    k2 = cpinf.random_kraus(rng, model=model.name)
+    k1 = cpinf.random_channel(model, rng)
+    k2 = cpinf.random_channel(model, rng)
     r1 = cpinf.random_density(rng, model.interpret(k1.dom))
     r2 = cpinf.random_density(rng, model.interpret(k2.dom))
     joint = cpinf.channel_action(cpinf.kraus_par(k1, k2), np.kron(r1, r2))
@@ -178,18 +148,18 @@ def _(model, rng, tol):
 
 @_prop("CP-TENSOR-PAR-AGREE", "both channel tensors coincide (compact model)")
 def _(model, rng, tol):
-    k1 = cpinf.random_kraus(rng, model=model.name)
-    k2 = cpinf.random_kraus(rng, model=model.name)
+    k1 = cpinf.random_channel(model, rng)
+    k2 = cpinf.random_channel(model, rng)
     return cpinf.channel_deviation(cpinf.kraus_tensor(k1, k2),
                                    cpinf.kraus_par(k1, k2)), None
 
 
 @_prop("CP-BIFUNCTOR", "(k1 x k2)(k3 x k4) ~ (k1 k3) x (k2 k4)")
 def _(model, rng, tol):
-    k1 = cpinf.random_kraus(rng, model=model.name)
-    k2 = cpinf.random_kraus(rng, model=model.name)
-    k3 = cpinf.random_kraus(rng, model.interpret(k1.cod), model=model.name)
-    k4 = cpinf.random_kraus(rng, model.interpret(k2.cod), model=model.name)
+    k1 = cpinf.random_channel(model, rng)
+    k2 = cpinf.random_channel(model, rng)
+    k3 = cpinf.random_channel(model, rng, k1.cod)
+    k4 = cpinf.random_channel(model, rng, k2.cod)
     lhs = cpinf.kraus_compose(cpinf.kraus_tensor(k1, k2),
                               cpinf.kraus_tensor(k3, k4))
     rhs = cpinf.kraus_tensor(cpinf.kraus_compose(k1, k3),
@@ -214,15 +184,15 @@ def _(model, rng, tol):
 
 @_prop("CP-DAG-INV", "(k dagger) dagger ~ k")
 def _(model, rng, tol):
-    k = cpinf.random_kraus(rng, model=model.name)
+    k = cpinf.random_channel(model, rng)
     return cpinf.channel_deviation(
         cpinf.kraus_dagger(cpinf.kraus_dagger(k)), k), None
 
 
 @_prop("CP-DAG-CONTRA", "(k1 k2) dagger ~ k2 dagger k1 dagger")
 def _(model, rng, tol):
-    k1 = cpinf.random_kraus(rng, model=model.name)
-    k2 = cpinf.random_kraus(rng, model.interpret(k1.cod), model=model.name)
+    k1 = cpinf.random_channel(model, rng)
+    k2 = cpinf.random_channel(model, rng, k1.cod)
     lhs = cpinf.kraus_dagger(cpinf.kraus_compose(k1, k2))
     rhs = cpinf.kraus_compose(cpinf.kraus_dagger(k2), cpinf.kraus_dagger(k1))
     return cpinf.channel_deviation(lhs, rhs), None
@@ -231,7 +201,7 @@ def _(model, rng, tol):
 @_prop("CP-DAG-CHOI",
        "Choi of the adjoint is the wire-swapped conjugate Choi")
 def _(model, rng, tol):
-    k = cpinf.random_kraus(rng, model=model.name)
+    k = cpinf.random_channel(model, rng)
     a = model.interpret(k.dom)
     b = model.interpret(k.cod)
     direct = cpinf.to_choi(cpinf.kraus_dagger(k)).matrix
@@ -244,16 +214,9 @@ def _(model, rng, tol):
 
 @_prop("CP-Q-FUNCTOR", "Q(f g) ~ Q(f) Q(g) and Q(1) ~ 1", ("mat", "cplane"))
 def _(model, rng, tol):
-    if model.base == "cplane":
-        a = model.random_object(rng)
-        f = model.random_morphism(rng, a, a)
-        g = model.random_morphism(rng, a, a)
-    else:
-        a = Base(int(rng.integers(1, 4)))
-        b = Base(int(rng.integers(1, 4)))
-        c = Base(int(rng.integers(1, 4)))
-        f = model.random_morphism(rng, a, b)
-        g = model.random_morphism(rng, b, c)
+    a, b, c = model.random_chain(rng, 2)
+    f = model.random_morphism(rng, a, b)
+    g = model.random_morphism(rng, b, c)
     comp = cpinf.channel_deviation(
         cpinf.functor_Q(f >> g),
         cpinf.kraus_compose(cpinf.functor_Q(f), cpinf.functor_Q(g)))
@@ -265,8 +228,7 @@ def _(model, rng, tol):
 
 @_prop("CP-N-DAGGER", "N(f dagger) ~ N(f) dagger")
 def _(model, rng, tol):
-    a = Base(int(rng.integers(1, 4)))
-    b = Base(int(rng.integers(1, 4)))
+    a, b = model.random_chain(rng, 1)
     f = model.random_morphism(rng, a, b)
     lhs = cpinf.functor_N(dagger(f))
     rhs = cpinf.kraus_dagger(cpinf.functor_N(f))
@@ -287,7 +249,7 @@ def _(model, rng, tol):
 @_prop("CP-PURE-ACTION",
        "sum over Kraus blocks reproduces the channel action")
 def _(model, rng, tol):
-    k = cpinf.random_kraus(rng, model=model.name)
+    k = cpinf.random_channel(model, rng)
     rho = cpinf.random_density(rng, model.interpret(k.dom))
     b = model.interpret(k.cod)
     total = np.zeros((b, b), dtype=complex)
@@ -299,7 +261,7 @@ def _(model, rng, tol):
 
 @_prop("CP-PURIFY-ROUNDTRIP", "purify(choi(k)) ~ k")
 def _(model, rng, tol):
-    k = cpinf.random_kraus(rng, model=model.name)
+    k = cpinf.random_channel(model, rng)
     return cpinf.channel_deviation(
         cpinf.purify(cpinf.to_choi(k), model.name), k), None
 
@@ -316,7 +278,7 @@ for _axiom, _text in (
         ("Env.1b", "discard of a par = glued par of discards"),
         ("Env.2", "the discard equation decides equivalence"),
         ("Env.3", "every channel purifies through the discard")):
-    _PROPERTIES[_axiom] = Entry(_axiom, _text, ("mat",), _env_entry(_axiom))
+    _prop(_axiom, _text)(_env_entry(_axiom))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +358,8 @@ def _(model, rng, tol):
 def _(model, rng, tol):
     from .fmat import check_finiteness_relation
     rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    f = model.include(Morphism("mat", Base(cols), Base(rows),
-                               _masked_dense(rng, rows, cols)))
+    f = model.include(Morphism(model.unitary_donor.name, Base(cols),
+                               Base(rows), _masked_dense(rng, rows, cols)))
     ok = check_finiteness_relation(f.payload.support(), f.payload.src,
                                    f.payload.tgt)
     return (0.0 if ok else 1.0), None
@@ -408,7 +370,8 @@ def _(model, rng, tol):
 def _(model, rng, tol):
     from .fmat import fmat_compose
     dims = [int(rng.integers(1, 5)) for _ in range(4)]
-    mats = [model.include(Morphism("mat", Base(dims[i]), Base(dims[i + 1]),
+    donor = model.unitary_donor.name
+    mats = [model.include(Morphism(donor, Base(dims[i]), Base(dims[i + 1]),
                                    _int_dense(rng, dims[i + 1], dims[i])))
             for i in range(3)]
     lhs = fmat_compose(fmat_compose(mats[0].payload, mats[1].payload),
@@ -429,8 +392,8 @@ def _(model, rng, tol):
 def _(model, rng, tol):
     from .fmat import fmat_dagger
     rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    f = model.include(Morphism("mat", Base(cols), Base(rows),
-                               _masked_dense(rng, rows, cols)))
+    f = model.include(Morphism(model.unitary_donor.name, Base(cols),
+                               Base(rows), _masked_dense(rng, rows, cols)))
     back = fmat_dagger(fmat_dagger(f.payload))
     same = (back.src == f.payload.src and back.tgt == f.payload.tgt
             and back.entries == f.payload.entries)
@@ -441,7 +404,7 @@ def _(model, rng, tol):
        "inclusion preserves composition and dagger on the nose", ("fmat",))
 def _(model, rng, tol):
     donor = model.unitary_donor
-    a, b, c = (Base(int(rng.integers(1, 4))) for _ in range(3))
+    a, b, c = donor.random_chain(rng, 2)
     f = donor.random_morphism(rng, a, b)
     g = donor.random_morphism(rng, b, c)
     comp = model.deviation(model.include(f >> g),
@@ -486,25 +449,12 @@ def _law_trial(law) -> TrialFn:
 
 def _run_entry(entry: Entry, model: Model,
                cfg: SuiteConfig) -> LawCheckReport:
-    """Run every trial; a trial that raises is a failed one, and the run
-    goes on."""
-    rng = _entry_rng(cfg.seed, entry.entry_id, model.name)
-    worst, witness = 0.0, None
-    for trial in range(cfg.trials):
-        try:
-            dev, info = entry.trial(model, rng, cfg.tol)
-        except Exception as exc:
-            dev = float("inf")
-            info = {"error": f"{type(exc).__name__}: {exc}"}
-        if dev > worst:
-            worst = dev
-            if dev > cfg.tol:
-                witness = dict(info or {})
-                witness["trial"] = trial
-    return LawCheckReport(law=entry.entry_id, model=model.name,
-                          trials=cfg.trials, max_abs_deviation=worst,
-                          passed=worst <= cfg.tol, witness=witness,
-                          seed=cfg.seed, tol=cfg.tol)
+    """Every trial of one entry in one model, on the entry's own stream."""
+    return run_trials(entry.entry_id, model.name,
+                      lambda rng: entry.trial(model, rng, cfg.tol),
+                      cfg.trials,
+                      _entry_rng(cfg.seed, entry.entry_id, model.name),
+                      cfg.tol, cfg.seed)
 
 
 def run_suite(cfg: SuiteConfig) -> List[LawCheckReport]:

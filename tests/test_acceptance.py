@@ -18,7 +18,7 @@ from mucinf.cpinf import (EnvStructure, canonical_env, channel_action,
                           functor_Q, initiality_probe, kraus_compose,
                           kraus_dagger, kraus_identity, kraus_new,
                           kraus_tensor, pure_decomposition, purify,
-                          random_density, random_kraus, to_choi)
+                          random_channel, random_density, to_choi)
 from mucinf.fmat import (FiniteIndex, check_finiteness_relation,
                          explicit_family, family_subset, fmat_compose,
                          include_mat, perp)
@@ -62,7 +62,7 @@ def test_criterion_2_equivalence_soundness_completeness():
     with criterion(2, "equivalence decision vs the test-map oracle"):
         rng = np.random.default_rng(2024)
         for _ in range(200):
-            k = random_kraus(rng)
+            k = random_channel(MAT, rng)
             variant = equivalent_variant(rng, k)
             assert equiv_decide(k, variant, 1e-9)
             oracle = equiv_testmap_oracle(k, variant, trials=20, rng=rng,
@@ -70,7 +70,7 @@ def test_criterion_2_equivalence_soundness_completeness():
             assert oracle["consistent"], oracle
         witnessed = 0
         for _ in range(200):
-            k1, k2 = cpinf.distinct_pair(rng)
+            k1, k2 = cpinf.distinct_pair(MAT, rng)
             assert not equiv_decide(k1, k2, 1e-9)
             oracle = equiv_testmap_oracle(k1, k2, trials=200, rng=rng)
             witnessed += 0 if oracle["consistent"] else 1
@@ -81,9 +81,9 @@ def test_criterion_3_channel_category_laws():
     with criterion(3, "channel category and isomix structure"):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            k1 = random_kraus(rng)
-            k2 = random_kraus(rng, MAT.interpret(k1.cod))
-            k3 = random_kraus(rng, MAT.interpret(k2.cod))
+            k1 = random_channel(MAT, rng)
+            k2 = random_channel(MAT, rng, k1.cod)
+            k3 = random_channel(MAT, rng, k2.cod)
             lhs = kraus_compose(kraus_compose(k1, k2), k3)
             rhs = kraus_compose(k1, kraus_compose(k2, k3))
             assert equiv_decide(lhs, rhs, 1e-9)
@@ -92,9 +92,10 @@ def test_criterion_3_channel_category_laws():
             assert equiv_decide(
                 kraus_compose(k1, kraus_identity("mat", k1.cod)), k1, 1e-9)
         for _ in range(100):
-            k1, k2 = random_kraus(rng), random_kraus(rng)
-            k3 = random_kraus(rng, MAT.interpret(k1.cod))
-            k4 = random_kraus(rng, MAT.interpret(k2.cod))
+            k1 = random_channel(MAT, rng)
+            k2 = random_channel(MAT, rng)
+            k3 = random_channel(MAT, rng, k1.cod)
+            k4 = random_channel(MAT, rng, k2.cod)
             lhs = kraus_compose(kraus_tensor(k1, k2), kraus_tensor(k3, k4))
             rhs = kraus_tensor(kraus_compose(k1, k3), kraus_compose(k2, k4))
             assert equiv_decide(lhs, rhs, 1e-9)
@@ -111,7 +112,7 @@ def test_criterion_4_choi_machinery():
     with criterion(4, "pure decomposition, purification, eigensolver"):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            k = random_kraus(rng)
+            k = random_channel(MAT, rng)
             rho = random_density(rng, MAT.interpret(k.dom))
             total = sum(blk @ rho @ blk.conj().T
                         for blk in pure_decomposition(k))
@@ -224,11 +225,11 @@ def test_criterion_8_channel_dagger():
     with criterion(8, "dagger on channels: involution and contravariance"):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            k = random_kraus(rng)
+            k = random_channel(MAT, rng)
             assert equiv_decide(kraus_dagger(kraus_dagger(k)), k, 1e-9)
         for _ in range(100):
-            k1 = random_kraus(rng)
-            k2 = random_kraus(rng, MAT.interpret(k1.cod))
+            k1 = random_channel(MAT, rng)
+            k2 = random_channel(MAT, rng, k1.cod)
             lhs = kraus_dagger(kraus_compose(k1, k2))
             rhs = kraus_compose(kraus_dagger(k2), kraus_dagger(k1))
             assert equiv_decide(lhs, rhs, 1e-9)

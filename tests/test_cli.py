@@ -5,6 +5,7 @@ import pytest
 
 from mucinf import cpinf, jsonio
 from mucinf.cli import main
+from mucinf.matc import MAT
 from mucinf.objects import Base
 
 RNG = np.random.default_rng(123)
@@ -32,7 +33,7 @@ def test_channel_equiv_reflexive(tmp_path, capsys):
 
 
 def test_channel_equiv_distinguishes(tmp_path, capsys):
-    k1, k2 = cpinf.distinct_pair(RNG, 2, 2)
+    k1, k2 = cpinf.distinct_pair(MAT, RNG, Base(2), Base(2))
     p1 = write_channel(tmp_path / "a.json", k1)
     p2 = write_channel(tmp_path / "b.json", k2)
     code, out, _ = run(capsys, "channel-equiv", p1, p2)
@@ -53,8 +54,8 @@ def test_channel_apply_discard_is_trace(tmp_path, capsys):
 
 
 def test_compose_then_apply(tmp_path, capsys):
-    k1 = cpinf.random_kraus(RNG, 2, 3, 2)
-    k2 = cpinf.random_kraus(RNG, 3, 2, 1)
+    k1 = cpinf.random_channel(MAT, RNG, Base(2), Base(3), Base(2))
+    k2 = cpinf.random_channel(MAT, RNG, Base(3), Base(2), Base(1))
     p1 = write_channel(tmp_path / "k1.json", k1)
     p2 = write_channel(tmp_path / "k2.json", k2)
     out_path = tmp_path / "out.json"
@@ -67,7 +68,7 @@ def test_compose_then_apply(tmp_path, capsys):
 
 def test_choi_purify_round_trip_twenty_fixtures(tmp_path, capsys):
     for i in range(20):
-        k = cpinf.random_kraus(RNG)
+        k = cpinf.random_channel(MAT, RNG)
         cpath = write_channel(tmp_path / f"chan{i}.json", k)
         choi_path = tmp_path / f"choi{i}.json"
         code, _, _ = run(capsys, "channel-choi", cpath,
@@ -83,7 +84,7 @@ def test_choi_purify_round_trip_twenty_fixtures(tmp_path, capsys):
 
 
 def test_channel_decompose(tmp_path, capsys):
-    k = cpinf.random_kraus(RNG, 2, 2, 3)
+    k = cpinf.random_channel(MAT, RNG, Base(2), Base(2), Base(3))
     p = write_channel(tmp_path / "k.json", k)
     code, out, _ = run(capsys, "channel-decompose", p)
     assert code == 0
@@ -160,7 +161,8 @@ def test_malformed_seed_env_is_a_usage_error(capsys, monkeypatch):
 
 
 def test_non_integral_dimension_exits_two(tmp_path, capsys):
-    d = jsonio.channel_to_json(cpinf.random_kraus(RNG, 2, 2, 1))
+    k = cpinf.random_channel(MAT, RNG, Base(2), Base(2), Base(1))
+    d = jsonio.channel_to_json(k)
     d["dom"] = 2.5
     p = tmp_path / "k.json"
     p.write_text(json.dumps(d))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mucinf import cpinf
+from mucinf import cpinf, laws, suite
 from mucinf.cpinf import (EnvStructure, canonical_env, channel,
                           channel_action, channel_deviation, env_check,
                           env_discard, env_factor, equiv_decide,
@@ -12,8 +12,8 @@ from mucinf.cpinf import (EnvStructure, canonical_env, channel,
                           functor_N, functor_Q, initiality_probe,
                           kraus_compose, kraus_dagger, kraus_identity,
                           kraus_new, kraus_par, kraus_tensor,
-                          pure_decomposition, purify, random_density,
-                          random_kraus, to_choi)
+                          pure_decomposition, purify, random_channel,
+                          random_density, to_choi)
 from mucinf.cplane import CplaneChannel
 from mucinf.errors import (DomCodMismatch, NotPSD, TypingError,
                            UnsupportedInModel)
@@ -70,7 +70,7 @@ class TestConstruction:
 
 class TestComposition:
     def test_identity_laws_up_to_equivalence(self):
-        k = random_kraus(RNG)
+        k = random_channel(MAT, RNG)
         assert equiv_decide(kraus_compose(kraus_identity("mat", k.dom), k), k)
         assert equiv_decide(kraus_compose(k, kraus_identity("mat", k.cod)), k)
 
@@ -83,8 +83,8 @@ class TestComposition:
         assert cp.interpret(out.dom) == 6 and cp.interpret(out.cod) == 1
 
     def test_action_composes(self):
-        k1 = random_kraus(RNG, 2, 3, 2)
-        k2 = random_kraus(RNG, 3, 2, 2)
+        k1 = random_channel(MAT, RNG, Base(2), Base(3), Base(2))
+        k2 = random_channel(MAT, RNG, Base(3), Base(2), Base(2))
         rho = random_density(RNG, 2)
         direct = channel_action(kraus_compose(k1, k2), rho)
         staged = channel_action(k2, channel_action(k1, rho))
@@ -92,9 +92,9 @@ class TestComposition:
 
     def test_associative_up_to_equivalence(self):
         for _ in range(10):
-            k1 = random_kraus(RNG, 2, 2, 2)
-            k2 = random_kraus(RNG, 2, 3, 1)
-            k3 = random_kraus(RNG, 3, 1, 2)
+            k1 = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
+            k2 = random_channel(MAT, RNG, Base(2), Base(3), Base(1))
+            k3 = random_channel(MAT, RNG, Base(3), Base(1), Base(2))
             lhs = kraus_compose(kraus_compose(k1, k2), k3)
             rhs = kraus_compose(k1, kraus_compose(k2, k3))
             assert equiv_decide(lhs, rhs)
@@ -108,16 +108,16 @@ class TestTensors:
                                                             Base(3))))
 
     def test_product_action(self):
-        k1 = random_kraus(RNG, 2, 2, 2)
-        k2 = random_kraus(RNG, 3, 2, 1)
+        k1 = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
+        k2 = random_channel(MAT, RNG, Base(3), Base(2), Base(1))
         r1, r2 = random_density(RNG, 2), random_density(RNG, 3)
         joint = channel_action(kraus_tensor(k1, k2), np.kron(r1, r2))
         split = np.kron(channel_action(k1, r1), channel_action(k2, r2))
         assert np.max(np.abs(joint - split)) <= 1e-9
 
     def test_both_tensors_agree(self):
-        k1 = random_kraus(RNG, 2, 2, 2)
-        k2 = random_kraus(RNG, 2, 3, 1)
+        k1 = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
+        k2 = random_channel(MAT, RNG, Base(2), Base(3), Base(1))
         assert channel_deviation(kraus_tensor(k1, k2),
                                  kraus_par(k1, k2)) <= 1e-9
 
@@ -127,8 +127,8 @@ class TestTensors:
         for _ in range(10):
             a1, b1, u1 = (int(RNG.integers(1, 4)) for _ in range(3))
             a2, b2, u2 = (int(RNG.integers(1, 4)) for _ in range(3))
-            k1 = random_kraus(RNG, a1, b1, u1)
-            k2 = random_kraus(RNG, a2, b2, u2)
+            k1 = random_channel(MAT, RNG, Base(a1), Base(b1), Base(u1))
+            k2 = random_channel(MAT, RNG, Base(a2), Base(b2), Base(u2))
             joint = kraus_tensor(k1, k2).body.payload
             swap = np.kron(np.eye(u1),
                            np.kron(commutation_perm(b1, u2), np.eye(b2)))
@@ -150,8 +150,8 @@ class TestChoi:
     def test_composite_choi_matches_tomographic_oracle(self):
         # reconstruct the Choi matrix from the action on matrix units,
         # assembled from a Hermitian operator basis
-        k1 = random_kraus(RNG, 2, 3, 2)
-        k2 = random_kraus(RNG, 3, 2, 2)
+        k1 = random_channel(MAT, RNG, Base(2), Base(3), Base(2))
+        k2 = random_channel(MAT, RNG, Base(3), Base(2), Base(2))
         k = kraus_compose(k1, k2)
         a, b = 2, 2
 
@@ -180,7 +180,7 @@ class TestChoi:
 class TestEquivalence:
     def test_unitary_mixing(self):
         for _ in range(10):
-            k = random_kraus(RNG)
+            k = random_channel(MAT, RNG)
             assert equiv_decide(k, equivalent_variant(RNG, k))
 
     def test_identity_vs_discard_then_prepare(self):
@@ -197,22 +197,23 @@ class TestEquivalence:
 
     def test_dom_cod_mismatch(self):
         with pytest.raises(DomCodMismatch):
-            equiv_decide(random_kraus(RNG, 2, 2), random_kraus(RNG, 2, 3))
+            equiv_decide(random_channel(MAT, RNG, Base(2), Base(2)),
+                         random_channel(MAT, RNG, Base(2), Base(3)))
 
     def test_oracle_consistent_on_equal_pairs(self):
-        k = random_kraus(RNG, 2, 2, 2)
+        k = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
         v = equivalent_variant(RNG, k)
         out = equiv_testmap_oracle(k, v, trials=200, rng=RNG)
         assert out["consistent"] and out["witness"] is None
 
     def test_oracle_separates_distinct_pairs(self):
-        k1, k2 = cpinf.distinct_pair(RNG, 2, 2)
+        k1, k2 = cpinf.distinct_pair(MAT, RNG, Base(2), Base(2))
         out = equiv_testmap_oracle(k1, k2, trials=200, rng=RNG)
         assert not out["consistent"]
         assert out["witness"]["deviation"] > 1e-9
 
     def test_oracle_zero_trials_vacuous(self):
-        k1, k2 = cpinf.distinct_pair(RNG, 2, 2)
+        k1, k2 = cpinf.distinct_pair(MAT, RNG, Base(2), Base(2))
         assert equiv_testmap_oracle(k1, k2, trials=0, rng=RNG)["consistent"]
 
     def test_testmap_chain_reduces_to_closed_form(self):
@@ -221,7 +222,7 @@ class TestEquivalence:
         from mucinf.cpinf import _testmap_side
         for _ in range(10):
             a, b, u, c, x = (int(RNG.integers(1, 4)) for _ in range(5))
-            k = random_kraus(RNG, a, b, u)
+            k = random_channel(MAT, RNG, Base(a), Base(b), Base(u))
             h = MAT.random_morphism(RNG, Tensor(Base(b), Base(c)), Base(x))
             chain = _testmap_side(k, h, Base(c), Base(x)).payload
             fx = np.kron(k.body.payload, np.eye(c))
@@ -230,14 +231,14 @@ class TestEquivalence:
             assert np.max(np.abs(chain - closed)) <= 1e-12
 
     def test_non_unitary_ancilla_mixing_breaks_equivalence(self):
-        k = random_kraus(RNG, 2, 2, 2)
+        k = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
         skew = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)  # not unitary
         body = Morphism("mat", k.dom, k.body.cod,
                         np.kron(skew, np.eye(2)) @ k.body.payload)
         assert not equiv_decide(k, kraus_new(body, k.ancilla))
 
     def test_channel_handles(self):
-        k = random_kraus(RNG)
+        k = random_channel(MAT, RNG)
         assert channel(k).equals(channel(equivalent_variant(RNG, k)))
 
     def test_cplane_channel_handles(self):
@@ -261,7 +262,7 @@ class TestPureDecomposition:
         assert len(blocks) == 1 and np.array_equal(blocks[0], np.eye(2))
 
     def test_action_equality_on_ten_states(self):
-        k = random_kraus(RNG, 3, 2, 3)
+        k = random_channel(MAT, RNG, Base(3), Base(2), Base(3))
         blocks = pure_decomposition(k)
         for _ in range(10):
             rho = random_density(RNG, 3)
@@ -276,7 +277,7 @@ class TestDagger:
 
     def test_involution(self):
         for _ in range(10):
-            k = random_kraus(RNG)
+            k = random_channel(MAT, RNG)
             assert equiv_decide(kraus_dagger(kraus_dagger(k)), k)
 
     def test_unitary_conjugation_dagger_is_inverse(self):
@@ -288,14 +289,14 @@ class TestDagger:
         assert equiv_decide(kraus_dagger(ku), kinv)
 
     def test_contravariance(self):
-        k1 = random_kraus(RNG, 2, 3, 2)
-        k2 = random_kraus(RNG, 3, 2, 1)
+        k1 = random_channel(MAT, RNG, Base(2), Base(3), Base(2))
+        k2 = random_channel(MAT, RNG, Base(3), Base(2), Base(1))
         lhs = kraus_dagger(kraus_compose(k1, k2))
         rhs = kraus_compose(kraus_dagger(k2), kraus_dagger(k1))
         assert equiv_decide(lhs, rhs)
 
     def test_choi_of_adjoint_by_index_oracle(self):
-        k = random_kraus(RNG, 2, 3, 2)
+        k = random_channel(MAT, RNG, Base(2), Base(3), Base(2))
         a, b = 2, 3
         c = to_choi(k).matrix
         direct = to_choi(kraus_dagger(k)).matrix
@@ -375,8 +376,21 @@ class TestEnvironment:
         reports = {r.law: r for r in env_check(broken, trials=10, seed=4)}
         assert not reports["Env.1a"].passed
 
+    def test_nan_discard_fails_the_axioms_it_enters(self):
+        def nan_scaled(u_expr):
+            honest = env_discard("mat", u_expr)
+            body = Morphism("mat", honest.body.dom, honest.body.cod,
+                            honest.body.payload * np.nan)
+            return kraus_new(body, honest.ancilla)
+
+        broken = EnvStructure("mat", functor_Q, nan_scaled, "nan-discard")
+        reports = {r.law: r for r in env_check(broken, trials=5, seed=4)}
+        for axiom in ("Env.1a", "Env.1b", "Env.3"):
+            assert not reports[axiom].passed
+            assert reports[axiom].max_abs_deviation == float("inf")
+
     def test_purification_factors_through_discard(self):
-        k = random_kraus(RNG, 2, 3, 2)
+        k = random_channel(MAT, RNG, Base(2), Base(3), Base(2))
         rebuilt = env_factor(canonical_env(), k)
         assert equiv_decide(rebuilt, k)
 
@@ -399,7 +413,7 @@ class TestPurify:
 
     def test_round_trip(self):
         for _ in range(10):
-            k = random_kraus(RNG)
+            k = random_channel(MAT, RNG)
             assert equiv_decide(purify(to_choi(k)), k, 1e-8)
 
     def test_rejects_negative_choi(self):
@@ -514,10 +528,10 @@ class TestCanonicalForms:
         assert fm.deviation(generic, surgery) <= 1e-12
 
     def test_equals_compares_the_stored_forms(self, monkeypatch):
-        k = random_kraus(RNG, 2, 2, 2)
+        k = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
         same = channel(k), channel(equivalent_variant(RNG, k))
-        other = channel(random_kraus(RNG, 2, 2, 2))
-        wider = channel(random_kraus(RNG, 2, 3, 2))
+        other = channel(random_channel(MAT, RNG, Base(2), Base(2), Base(2)))
+        wider = channel(random_channel(MAT, RNG, Base(2), Base(3), Base(2)))
 
         def recompute(_):
             raise AssertionError("equals recomputed a canonical form")
@@ -561,3 +575,39 @@ class TestCanonicalForms:
                   if isinstance(node, ast.Attribute)}
         assert not (names | imported) & {"MatModel", "FmatModel",
                                          "CplaneModel"}
+
+    def test_suite_and_laws_leave_sampling_to_the_model(self):
+        # which objects carry arrows or channels is the model's question;
+        # family names may appear only where entries state where they apply
+        # (the tuples of _law/_prop) and in the default model list, and
+        # ``base`` may only be looked up in such a tuple
+        families = {"mat", "cplane", "fmat"}
+        for module in (laws, suite):
+            tree = ast.parse(Path(module.__file__).read_text())
+            allowed = set()
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) in ("_law",
+                                                               "_prop")):
+                    allowed |= {id(n) for arg in node.args for n in
+                                ast.walk(arg)}
+                    allowed |= {id(n) for kw in node.keywords for n in
+                                ast.walk(kw.value)}
+                elif (isinstance(node, ast.FunctionDef)
+                      and node.name in ("_law", "_prop")):
+                    allowed |= {id(n) for d in node.args.defaults
+                                for n in ast.walk(d)}
+                elif (isinstance(node, ast.AnnAssign) and node.value
+                      and getattr(node.target, "id", None) == "models"):
+                    allowed |= {id(n) for n in ast.walk(node.value)}
+            named = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant)
+                     and node.value in families and id(node) not in allowed]
+            compared = [
+                node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                and not all(isinstance(op, (ast.In, ast.NotIn))
+                            for op in node.ops)
+                and any(isinstance(side, ast.Attribute) and side.attr == "base"
+                        for side in [node.left, *node.comparators])]
+            assert (named, compared) == ([], []), module.__name__

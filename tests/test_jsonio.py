@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from mucinf import cpinf, jsonio
 from mucinf.errors import MucinfError, ShapeMismatch, TypingError
 from mucinf.fmat import OMEGA_FIN, SparseMatrix, finite_space, include_mat
+from mucinf.matc import MAT
+from mucinf.objects import Base
 
 RNG = np.random.default_rng(77)
 
@@ -41,7 +43,7 @@ class TestMatrix:
 
 class TestChannel:
     def test_round_trip(self):
-        k = cpinf.random_kraus(RNG, 2, 3, 2)
+        k = cpinf.random_channel(MAT, RNG, Base(2), Base(3), Base(2))
         d = jsonio.channel_to_json(k)
         assert (d["dom"], d["cod"], d["ancilla"]) == (2, 3, 2)
         again = jsonio.channel_from_json(d)
@@ -49,7 +51,7 @@ class TestChannel:
         assert np.array_equal(k.body.payload, again.body.payload)
 
     def test_shape_validation(self):
-        k = cpinf.random_kraus(RNG, 2, 3, 2)
+        k = cpinf.random_channel(MAT, RNG, Base(2), Base(3), Base(2))
         d = jsonio.channel_to_json(k)
         d["ancilla"] = 3
         with pytest.raises(ShapeMismatch):
@@ -59,7 +61,8 @@ class TestChannel:
 @pytest.mark.parametrize("key,value", [
     ("dom", 2.5), ("cod", 2.0), ("ancilla", "1"), ("dom", True)])
 def test_channel_dimensions_must_be_integers(key, value):
-    d = jsonio.channel_to_json(cpinf.random_kraus(RNG, 2, 2, 1))
+    k = cpinf.random_channel(MAT, RNG, Base(2), Base(2), Base(1))
+    d = jsonio.channel_to_json(k)
     d[key] = value
     with pytest.raises(TypingError):
         jsonio.channel_from_json(d)
@@ -69,14 +72,16 @@ def test_matrix_and_choi_dimensions_must_be_integers():
     with pytest.raises(TypingError):
         jsonio.matrix_from_json({"rows": 1.0, "cols": 1,
                                  "entries": [[1.0, 0.0]]})
-    d = jsonio.choi_to_json(cpinf.to_choi(cpinf.random_kraus(RNG, 2, 2, 1)))
+    k = cpinf.random_channel(MAT, RNG, Base(2), Base(2), Base(1))
+    d = jsonio.choi_to_json(cpinf.to_choi(k))
     d["b"] = 2.5
     with pytest.raises(TypingError):
         jsonio.choi_from_json(d)
 
 
 def test_choi_round_trip():
-    c = cpinf.to_choi(cpinf.random_kraus(RNG, 2, 2, 2))
+    k = cpinf.random_channel(MAT, RNG, Base(2), Base(2), Base(2))
+    c = cpinf.to_choi(k)
     again = jsonio.choi_from_json(jsonio.choi_to_json(c))
     assert np.max(np.abs(c.matrix - again.matrix)) == 0.0
     assert (again.dim_in, again.dim_out) == (2, 2)
@@ -135,9 +140,10 @@ def test_reports_are_json_lines():
 # documents of every schema, each to be damaged at one place
 _FIXTURE_RNG = np.random.default_rng(5)
 _VALID = [
-    jsonio.channel_to_json(cpinf.random_kraus(_FIXTURE_RNG, 2, 2, 2)),
-    jsonio.choi_to_json(
-        cpinf.to_choi(cpinf.random_kraus(_FIXTURE_RNG, 2, 2, 1))),
+    jsonio.channel_to_json(cpinf.random_channel(
+        MAT, _FIXTURE_RNG, Base(2), Base(2), Base(2))),
+    jsonio.choi_to_json(cpinf.to_choi(cpinf.random_channel(
+        MAT, _FIXTURE_RNG, Base(2), Base(2), Base(1)))),
     jsonio.fmat_to_json(include_mat(np.eye(2))),
     {"src": {"X": [0, 1], "A": [[0]], "B": [[0], [1], [0, 1], []]},
      "tgt": {"X": "omega", "A": "fin", "B": "all"},

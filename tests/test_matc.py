@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from mucinf.errors import DimensionOverflow, NotHermitian, ShapeMismatch
 from mucinf.matc import (DIM_LIMIT, ENTRY_LIMIT, MAT, _freeze,
                          apply_channel, bell_counit, bell_unit,
-                         commutation_perm, hermitian_eig, mat_dagger,
+                         check_hermitian, commutation_perm, hermitian_eig,
+                         mat_dagger,
                          mat_identity, mat_kron, random_unitary)
 from mucinf.morphisms import Morphism
 from mucinf.objects import Base
@@ -296,6 +297,11 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_rejects_nan(self):
+        # NaN fails every comparison, so it must not pass the tolerance test
+        with pytest.raises(NotHermitian):
+            check_hermitian(np.full((2, 2), np.nan))
 
 
 def test_random_unitary_is_unitary():

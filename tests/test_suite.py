@@ -1,15 +1,18 @@
 import contextlib
+import functools
 
 import numpy as np
 import pytest
 
+from mucinf import cpinf
 from mucinf.cplane import CplaneModel
 from mucinf.errors import UnknownLaw, UnknownModel
 from mucinf.fmat import FmatModel
+from mucinf.laws import check_law
 from mucinf.matc import MatModel
-from mucinf.morphisms import register_model, registered_models, unregister_model
-from mucinf.suite import (SuiteConfig, _rand_kraus, _rand_kraus_from,
-                          list_laws, run_suite)
+from mucinf.morphisms import (compose, get_model, identity, register_model,
+                              registered_models, unregister_model)
+from mucinf.suite import SuiteConfig, list_laws, run_suite
 
 
 @contextlib.contextmanager
@@ -131,15 +134,82 @@ def test_cplane_mutant_channels_are_built_in_the_mutant():
                       law_filter="CP-CAT-*")
     with registered(CplaneModel("cplane-x")) as model:
         rng = np.random.default_rng(0)
-        k = _rand_kraus(model, rng)
+        k = cpinf.random_channel(model, rng)
         assert k.model == k.body.model == "cplane-x"
-        assert _rand_kraus_from(model, rng, k).model == "cplane-x"
+        assert cpinf.random_channel(model, rng, k.cod).model == "cplane-x"
         reps = run_suite(cfg)
     assert [(r.law, r.model, r.passed) for r in reps] == [
         ("CP-CAT-ASSOC", "cplane-x", True), ("CP-CAT-IDENT", "cplane-x", True)]
     assert "cplane-x" not in registered_models()
     with pytest.raises(UnknownModel):
         run_suite(cfg)
+
+
+@pytest.fixture(params=["mat", "cplane", "fmat", "cplane-y"])
+def sampled_model(request):
+    if request.param == "cplane-y":
+        with registered(CplaneModel("cplane-y")) as model:
+            yield model
+    else:
+        yield get_model(request.param)
+
+
+def test_chained_objects_have_random_morphisms(sampled_model):
+    rng = np.random.default_rng(11)
+    for unitary in (False, True):
+        for length in range(4):
+            chain = sampled_model.random_chain(rng, length, unitary=unitary)
+            assert len(chain) == length + 1
+            arrows = [sampled_model.random_morphism(rng, a, b)
+                      for a, b in zip(chain, chain[1:])]
+            whole = functools.reduce(compose, arrows,
+                                     identity(sampled_model, chain[0]))
+            assert (whole.dom, whole.cod) == (chain[0], chain[-1])
+
+
+def test_random_channels_belong_to_their_model(sampled_model):
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        k = cpinf.random_channel(sampled_model, rng)
+        assert k.model == k.body.model == sampled_model.name
+        assert cpinf.kraus_new(k.body, k.ancilla).cod == k.cod
+        # the objects given are kept, so drawn channels chain
+        assert cpinf.random_channel(sampled_model, rng, k.cod).dom == k.cod
+        assert cpinf.random_channel(sampled_model, rng,
+                                    cod=k.dom).cod == k.dom
+
+
+def test_a_registered_cplane_model_draws_its_own_objects():
+    patterns = ("FF*", "MIXPRES", "PRES", "CP-Q-FUNCTOR", "CP-CAT-*")
+    with registered(CplaneModel("cplane-y")):
+        reps = [r for pattern in patterns for r in run_suite(SuiteConfig(
+            models=("cplane-y",), trials=10, seed=7, law_filter=pattern))]
+    assert sorted(r.law for r in reps) == [
+        "CP-CAT-ASSOC", "CP-CAT-IDENT", "CP-Q-FUNCTOR", "FF-ISOMIX",
+        "FF-MIX", "FF1", "FF2", "FF3", "MIXPRES", "PRES"]
+    assert all(r.passed and r.model == "cplane-y" for r in reps)
+
+
+class _NanMix(MatModel):
+    def structural_payload(self, name, args, dom, cod):
+        if name in ("m", "m_inv"):
+            return np.full((1, 1), np.nan, dtype=complex)
+        return super().structural_payload(name, args, dom, cod)
+
+
+def test_a_nan_payload_fails_the_laws_it_enters():
+    # NaN compares false with everything; a fold that keeps the larger
+    # deviation by comparison would report 0.0 and pass
+    with registered(_NanMix("mat-nan")) as model:
+        for law in ("U4a", "U4b"):
+            rep = check_law(law, model, seed=1)
+            assert not rep.passed
+            assert rep.max_abs_deviation == float("inf")
+        reps = {r.law: r for r in run_suite(
+            SuiteConfig(models=("mat-nan",), trials=3, seed=1))}
+    for law in ("U4a", "U4b"):
+        assert not reps[law].passed
+        assert reps[law].max_abs_deviation == float("inf")
 
 
 def test_unmutated_twin_passes_every_report():
