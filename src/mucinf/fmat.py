@@ -9,12 +9,19 @@ composition sums are finite.
 Index sets are either explicit finite label tuples or the symbolic
 countably-infinite ``OMEGA``.  Over OMEGA only the two-tag lattice
 {FIN, ALL} of families is representable, which is exactly enough to make
-the typing discipline non-vacuous.  Explicit families are closed downward
-under subset on construction; the perp of any family is downward closed, so
-this keeps the invariants checkable.
+the typing discipline non-vacuous.  Over a finite index X the perp of any
+family is the power family P(X), so every closed finite space is
+(X, P(X), P(X)); P(X) is held symbolically as ``PowerFamily``, whose
+membership, inclusion and relation checks take time in |X| and the
+support, never in the 2**|X| subsets, so closed spaces have no label cap.
+Other families are explicit (``fmat-check`` input and the unclosed
+families of mutation testing); they are closed downward under subset on
+construction, which keeps the invariants checkable, and only they are
+capped, at ``MAX_EXPLICIT`` labels per member.
 
 The inclusion of finite matrices lands on the spaces (X, P(X), P(X)) with X
 finite; it is a strict functor, so all its strengths are identity matrices.
+Its dense round trips are bounded by ``matc``'s size guard.
 """
 
 from __future__ import annotations
@@ -28,14 +35,14 @@ import numpy as np
 
 from .errors import (DimensionOverflow, ShapeMismatch, SpaceMismatch,
                      TypingError, UnsupportedInModel)
-from .matc import (ChoiMatrix, bell_counit, bell_unit, choi,
+from .matc import (ChoiMatrix, _check_size, bell_counit, bell_unit, choi,
                    commutation_perm)
 from .morphisms import Model, Morphism, get_model, register_model
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
 
 SUPPORT_EPS = 1e-14  # entries below this magnitude are dropped from support
-MAX_EXPLICIT = 10    # explicit power families cap out at 2**10 subsets
+MAX_EXPLICIT = 10    # explicit families: at most 2**10 subsets per member
 
 FIN = "fin"
 ALL = "all"
@@ -73,13 +80,29 @@ class ExplicitFamily:
     sets: FrozenSet[FrozenSet]
 
 
-SetFamily = Union[TagFamily, ExplicitFamily]
+@dataclass(frozen=True)
+class PowerFamily:
+    """P(X), every subset of the finite label set X, held symbolically."""
+
+    labels: FrozenSet
+
+    @property
+    def sets(self) -> FrozenSet[FrozenSet]:
+        """The ``2**len(labels)`` members, enumerated on demand."""
+        return downward_closure([self.labels])
+
+
+SetFamily = Union[TagFamily, ExplicitFamily, PowerFamily]
 
 
 def downward_closure(sets) -> FrozenSet[FrozenSet]:
+    sets = [frozenset(s) for s in sets]
+    for s in sets:
+        if len(s) > MAX_EXPLICIT:
+            raise DimensionOverflow(
+                f"power family over {len(s)} labels is beyond desk scale")
     closed = set()
     for s in sets:
-        s = frozenset(s)
         for k in range(len(s) + 1):
             for sub in combinations(sorted(s, key=repr), k):
                 closed.add(frozenset(sub))
@@ -93,11 +116,8 @@ def explicit_family(sets, close: bool = True) -> ExplicitFamily:
     return ExplicitFamily(frozenset(frozenset(s) for s in sets))
 
 
-def power_family(index: FiniteIndex) -> ExplicitFamily:
-    if len(index.labels) > MAX_EXPLICIT:
-        raise DimensionOverflow(
-            f"power family over {len(index.labels)} labels is beyond desk scale")
-    return explicit_family([index.labels])
+def power_family(index: FiniteIndex) -> PowerFamily:
+    return PowerFamily(frozenset(index.labels))
 
 
 def perp(family: SetFamily, index: IndexSet) -> SetFamily:
@@ -116,22 +136,39 @@ def family_member(family: SetFamily, subset: FrozenSet) -> bool:
     """Membership of a concrete finite set in a family."""
     if isinstance(family, TagFamily):
         return True  # concrete sets are finite, and FIN/ALL both admit them
+    if isinstance(family, PowerFamily):
+        return frozenset(subset) <= family.labels
     return frozenset(subset) in family.sets
 
 
 def family_subset(first: SetFamily, second: SetFamily) -> bool:
-    if isinstance(first, ExplicitFamily) and isinstance(second, ExplicitFamily):
-        return first.sets <= second.sets
     if isinstance(first, TagFamily) and isinstance(second, TagFamily):
         return first.tag == second.tag or second.tag == ALL
-    if isinstance(first, ExplicitFamily) and isinstance(second, TagFamily):
+    if isinstance(second, TagFamily):
         return True  # finite members sit in both FIN and ALL
-    return False
+    if isinstance(first, TagFamily):
+        return False
+    if isinstance(first, PowerFamily) and isinstance(second, PowerFamily):
+        return first.labels <= second.labels
+    if isinstance(second, PowerFamily):
+        return all(s <= second.labels for s in first.sets)
+    if isinstance(first, PowerFamily):
+        # members are distinct sets, so the explicit family holds P(X) iff
+        # it holds 2**|X| subsets of X
+        return (sum(s <= first.labels for s in second.sets)
+                == 2 ** len(first.labels))
+    return first.sets <= second.sets
+
+
+def _same_family(first: SetFamily, second: SetFamily) -> bool:
+    return first == second or (family_subset(first, second)
+                               and family_subset(second, first))
 
 
 def check_finiteness_space(index: IndexSet, fam_a: SetFamily,
                            fam_b: SetFamily) -> bool:
-    return perp(fam_a, index) == fam_b and perp(fam_b, index) == fam_a
+    return (_same_family(perp(fam_a, index), fam_b)
+            and _same_family(perp(fam_b, index), fam_a))
 
 
 @dataclass(frozen=True)
@@ -160,12 +197,13 @@ def finite_space(labels, close: bool = True) -> FinitenessSpace:
 @lru_cache(maxsize=None)
 def _finite_space_cached(labels: Tuple, close: bool) -> FinitenessSpace:
     index = FiniteIndex(tuple(labels))
+    if close:
+        fam = power_family(index)
+        return FinitenessSpace(index, fam, fam)
     if len(index.labels) > MAX_EXPLICIT:
         raise DimensionOverflow(
             f"finite space on {len(index.labels)} labels is beyond desk scale")
-    fam = explicit_family([index.labels], close=close)
-    if close:
-        return FinitenessSpace(index, fam, fam)
+    fam = explicit_family([index.labels], close=False)
     # bypass validation so the broken families can be observed failing at
     # relation-typing time instead of at construction
     space = object.__new__(FinitenessSpace)
@@ -192,22 +230,23 @@ def check_finiteness_relation(support, src: FinitenessSpace,
     def preimage(subset):
         return frozenset(x for x, y in support if y in subset)
 
-    if isinstance(src.fam_a, ExplicitFamily):
-        if not all(family_member(tgt.fam_a, image(a)) for a in src.fam_a.sets):
-            return False
-    else:
+    return (_maps_into(src.fam_a, tgt.fam_a, domain, image)
+            and _maps_into(tgt.fam_b, src.fam_b, rng, preimage))
+
+
+def _maps_into(family: SetFamily, target: SetFamily, reach: FrozenSet,
+               image) -> bool:
+    """Whether ``image`` sends every member of ``family`` into ``target``;
+    ``reach`` is the part of the index that ``image`` sees."""
+    if isinstance(family, TagFamily):
         # tag families are downward closed; the image of the full domain
         # dominates the image of every member
-        if not family_member(tgt.fam_a, image(domain)):
-            return False
-    if isinstance(tgt.fam_b, ExplicitFamily):
-        if not all(family_member(src.fam_b, preimage(b))
-                   for b in tgt.fam_b.sets):
-            return False
-    else:
-        if not family_member(src.fam_b, preimage(rng)):
-            return False
-    return True
+        return family_member(target, image(reach))
+    if isinstance(family, PowerFamily) \
+            and not isinstance(target, ExplicitFamily):
+        # X is the largest member of P(X), and the target is downward closed
+        return family_member(target, image(reach & family.labels))
+    return all(family_member(target, image(a)) for a in family.sets)
 
 
 @dataclass(frozen=True)
@@ -296,6 +335,8 @@ def to_dense(m: SparseMatrix) -> np.ndarray:
     if not (isinstance(m.src.index, FiniteIndex)
             and isinstance(m.tgt.index, FiniteIndex)):
         raise UnsupportedInModel("cannot densify a symbolic infinite space")
+    _check_size(len(m.tgt.index.labels), len(m.src.index.labels),
+                "dense fmat matrix")
     src_pos = {x: j for j, x in enumerate(m.src.index.labels)}
     tgt_pos = {y: i for i, y in enumerate(m.tgt.index.labels)}
     out = np.zeros((len(tgt_pos), len(src_pos)), dtype=complex)
@@ -381,6 +422,8 @@ class FmatModel(Model):
         if not (isinstance(src.index, FiniteIndex)
                 and isinstance(tgt.index, FiniteIndex)):
             raise UnsupportedInModel("products of symbolic spaces")
+        _check_size(len(tgt.index.labels), len(src.index.labels),
+                    "fmat kron result")
         # go through the dense Kronecker product so the strict-inclusion
         # laws hold bit for bit, not merely within tolerance
         return from_dense(np.kron(to_dense(fp), to_dense(gp)), src, tgt)
@@ -396,6 +439,8 @@ class FmatModel(Model):
                 and isinstance(tgt.index, FiniteIndex)):
             raise UnsupportedInModel(
                 f"structural map {name!r} lives in the finite fragment")
+        _check_size(len(tgt.index.labels), len(src.index.labels),
+                    f"structural map {name!r}")
         # the structural content is the same as in the dense model; here it
         # is transported onto the spaces' label enumerations
         if name in ("c_tensor", "c_par"):
@@ -436,6 +481,8 @@ class FmatModel(Model):
         if not all(isinstance(s.index, FiniteIndex) for s in spaces):
             raise UnsupportedInModel(
                 "no decision procedure outside the finite fragment")
+        dim = len(spaces[0].index.labels) * len(spaces[1].index.labels)
+        _check_size(dim, dim, "Choi matrix")
         return choi(to_dense(k.body.payload), len(spaces[2].index.labels))
 
     def kraus_compose_body(self, k1, k2) -> Morphism:
@@ -455,8 +502,7 @@ class FmatModel(Model):
 
     # sampling -----------------------------------------------------------------
     def random_object(self, rng, unitary: bool = False) -> ObjectExpr:
-        # plain small bases: explicit power families grow as 2**labels, so
-        # products of two objects must stay under the desk-scale cap
+        # plain small bases, as the dense model draws
         return self.include_expr(Base(int(rng.integers(1, 4))))
 
     def random_morphism(self, rng, dom, cod) -> Morphism:

@@ -7,7 +7,10 @@ Schemas:
 * choi:     matrix fields plus ``{"a": dim_in, "b": dim_out}``
 * fmat:     ``{"src": <space>, "tgt": <space>, "entries": [[x, y, re, im]..]}``
   where a space is ``{"X": "omega" | [labels...], "A": fam, "B": fam}`` and a
-  family is ``"fin" | "all" | [[labels...], ...]``
+  family is ``"fin" | "all" | [[labels...], ...]``; the writer lists the
+  power family of a finite space in full, so it raises ``DimensionOverflow``
+  beyond ``fmat.MAX_EXPLICIT`` labels, as the reader does on closing a
+  longer list
 
 Readers check the type of every document and field they read: a document
 or field of the wrong JSON type, a dimension that is not an integer, or a
@@ -26,7 +29,7 @@ from .cpinf import ChoiMatrix, KrausMorphism, kraus_new
 from .errors import ShapeMismatch, TypingError
 from .fmat import (ALL, FIN, FiniteIndex, FinitenessSpace, OMEGA,
                    OmegaIndex, SetFamily, SparseMatrix, TagFamily,
-                   explicit_family)
+                   explicit_family, finite_space)
 from .matc import _freeze
 from .morphisms import Morphism
 from .objects import Base, Par
@@ -157,7 +160,11 @@ def _space_fields(d: dict) -> SimpleNamespace:
 
 
 def _space_from_json(d: dict) -> FinitenessSpace:
-    return FinitenessSpace(**vars(_space_fields(d)))
+    space = FinitenessSpace(**vars(_space_fields(d)))
+    if isinstance(space.index, FiniteIndex):
+        # a valid finite space is (X, P(X), P(X)): hold P(X) symbolically
+        return finite_space(space.index.labels)
+    return space
 
 
 def fmat_to_json(m: SparseMatrix) -> dict:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,26 @@ def test_fmat_space_of_the_wrong_shape_exits_two(tmp_path, capsys):
     assert code == 1 and err == ""
     report = json.loads(out)
     assert report["valid"] is False and "'X'" in report["error"]
+
+
+def test_fmat_check_refuses_a_long_member_before_closing_it(tmp_path,
+                                                            capsys):
+    labels = list(range(20))
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({
+        "src": {"X": labels, "A": [labels], "B": [labels]},
+        "tgt": {"X": "omega", "A": "fin", "B": "all"},
+        "entries": []}))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "fmat-check", str(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == ("error: DimensionOverflow: power family over 20 labels "
+                   "is beyond desk scale\n")
+    assert peak < 2 ** 20
 
 
 def test_usage_error_exit_two(capsys):

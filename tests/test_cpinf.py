@@ -518,6 +518,20 @@ class TestCanonicalForms:
             assert np.array_equal(channel(k).canonical.matrix,
                                   to_choi(dense).matrix)
 
+    def test_random_fmat_channels_compose(self):
+        # composite bodies land on Par(Par(U1, U2), C), up to 27 labels
+        # here, past the cap on explicit families
+        rng = np.random.default_rng(12)
+        fm = get_model("fmat")
+        widest = 0
+        for _ in range(30):
+            k1 = random_channel(fm, rng)
+            k2 = random_channel(fm, rng, dom=k1.cod)
+            k = kraus_compose(k1, k2)
+            assert (k.dom, k.cod) == (k1.dom, k2.cod)
+            widest = max(widest, len(k.body.payload.tgt.index.labels))
+        assert widest > 10
+
     def test_fmat_compose_surgery_matches_the_generic_wiring(self):
         rng = np.random.default_rng(6)
         fm = get_model("fmat")

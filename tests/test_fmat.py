@@ -1,16 +1,22 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucinf.errors import SpaceMismatch, TypingError, UnsupportedInModel
-from mucinf.fmat import (ALL, FIN, ExplicitFamily, FiniteIndex, OMEGA,
-                         OMEGA_ALL, OMEGA_FIN, SparseMatrix, TagFamily,
+from mucinf.errors import (DimensionOverflow, SpaceMismatch, TypingError,
+                           UnsupportedInModel)
+from mucinf.fmat import (ALL, FIN, FMAT, MAX_EXPLICIT, ExplicitFamily,
+                         FiniteIndex, OMEGA, OMEGA_ALL, OMEGA_FIN,
+                         PowerFamily, SparseMatrix, TagFamily,
                          check_finiteness_relation, check_finiteness_space,
-                         downward_closure, explicit_family, family_subset,
-                         finite_space, fmat_compose, fmat_dagger, from_dense,
-                         include_mat, perp, power_family, sparse_identity,
-                         to_dense)
+                         downward_closure, explicit_family, family_member,
+                         family_subset, finite_space, fmat_compose,
+                         fmat_dagger, from_dense, include_mat, perp,
+                         power_family, sparse_identity, to_dense)
+from mucinf.matc import ENTRY_LIMIT
 
 label_sets = st.lists(st.integers(0, 5), min_size=1, max_size=5,
                       unique=True).map(tuple)
@@ -202,3 +208,119 @@ def test_downward_closure_contains_all_subsets():
     closed = downward_closure([(0, 1, 2)])
     assert frozenset() in closed and frozenset({1}) in closed
     assert len(closed) == 8
+
+
+def test_closure_refuses_long_members_before_enumerating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflow):
+            downward_closure([[0], range(MAX_EXPLICIT + 1)])
+        with pytest.raises(DimensionOverflow):
+            explicit_family([range(40)])
+        with pytest.raises(DimensionOverflow):
+            power_family(FiniteIndex(tuple(range(40)))).sets
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+class TestPowerFamily:
+    def test_closed_spaces_carry_it_without_a_label_cap(self):
+        space = finite_space(tuple(range(40)))
+        assert space.fam_a == space.fam_b == PowerFamily(frozenset(range(40)))
+        assert check_finiteness_relation([(0, 39), (39, 0)], space, space)
+        assert not check_finiteness_relation([(0, 40)], space, space)
+        assert not check_finiteness_relation([(40, 0)], space, space)
+
+    def test_an_unclosed_target_is_checked_member_by_member(self):
+        # as in fmat!no-closure: the image of the empty member, not only
+        # that of X, must lie in the target {{0}}
+        closed, unclosed = finite_space((0, 1)), finite_space((0,), close=False)
+        assert not check_finiteness_relation([(0, 0)], closed, unclosed)
+        assert not check_finiteness_relation([(0, 0)], unclosed, closed)
+
+    def test_products_past_the_explicit_cap_type(self):
+        from mucinf.morphisms import tensor
+        from mucinf.objects import Base
+        rng = np.random.default_rng(2)
+        a, b = FMAT.include_expr(Base(4)), FMAT.include_expr(Base(3))
+        f, g = FMAT.random_morphism(rng, a, b), FMAT.random_morphism(rng, b, a)
+        fg = tensor(f, g)
+        assert len(fg.payload.src.index.labels) == 12 > MAX_EXPLICIT
+        assert np.array_equal(to_dense(fg.payload),
+                              np.kron(to_dense(f.payload), to_dense(g.payload)))
+
+    def test_enumerates_on_demand(self):
+        assert power_family(FiniteIndex(("a", "b"))).sets == frozenset(
+            map(frozenset, [(), ("a",), ("b",), ("a", "b")]))
+
+
+LABEL = st.integers(0, 7)  # indexes draw from 0-5: 6 and 7 always lie outside
+SUBSETS = st.lists(st.frozensets(LABEL, max_size=4), max_size=4)
+FAMILIES = st.one_of(
+    st.sampled_from([FIN, ALL]).map(TagFamily),
+    SUBSETS.map(explicit_family),
+    SUBSETS.map(lambda sets: explicit_family(sets, close=False)),
+    st.frozensets(LABEL, max_size=5).map(PowerFamily))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=5, unique=True).map(tuple),
+       FAMILIES, FAMILIES, st.frozensets(LABEL, max_size=4),
+       st.lists(st.tuples(LABEL, LABEL), max_size=5), st.integers(1, 15))
+def test_symbolic_power_family_answers_as_its_enumeration(
+        labels, other, third, subset, support, slots):
+    index = FiniteIndex(labels)
+    symbolic, listed = power_family(index), explicit_family([labels])
+    assert symbolic.sets == listed.sets
+
+    def relation(p):
+        # p fills the family slots (src A, src B, tgt A, tgt B) that
+        # ``slots`` marks; the others hold the drawn families
+        fams = [p if slots >> i & 1 else (other, third)[i % 2]
+                for i in range(4)]
+        return check_finiteness_relation(
+            support, SimpleNamespace(fam_a=fams[0], fam_b=fams[1]),
+            SimpleNamespace(fam_a=fams[2], fam_b=fams[3]))
+
+    for fn in (lambda p: perp(p, index),
+               lambda p: perp(p, FiniteIndex(tuple(subset))),
+               lambda p: perp(p, OMEGA),
+               lambda p: family_member(p, subset),
+               lambda p: family_subset(p, other),
+               lambda p: family_subset(other, p),
+               lambda p: check_finiteness_space(index, p, other),
+               lambda p: check_finiteness_space(index, other, p),
+               lambda p: check_finiteness_space(index, p, p),
+               relation):
+        assert fn(symbolic) == fn(listed)
+
+
+def test_dense_round_trips_are_size_guarded():
+    from mucinf.cpinf import kraus_new
+    from mucinf.morphisms import Morphism
+    from mucinf.objects import Base, Par
+    labels = tuple(range(5000))
+    assert len(labels) ** 2 > ENTRY_LIMIT
+    big, one = finite_space(labels), finite_space(("*",))
+    ident = Morphism("fmat", Base(big), Base(big), sparse_identity(big))
+    unit = Morphism("fmat", Base(one), Base(one), sparse_identity(one))
+    cod = Par(Base(one), Base(one))
+    body = Morphism("fmat", Base(big), cod,
+                    SparseMatrix(big, FMAT.interpret(cod), ()))
+    k = kraus_new(body, Base(one))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflow):
+            to_dense(ident.payload)
+        with pytest.raises(DimensionOverflow):
+            FMAT.tensor_payload(ident, unit)
+        with pytest.raises(DimensionOverflow):
+            FMAT.structural_payload("a_tensor", (), Base(big), Base(big))
+        with pytest.raises(DimensionOverflow):
+            FMAT.canonical(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 23  # a 5000x5000 complex array is 400 MB

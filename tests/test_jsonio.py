@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucinf import cpinf, jsonio
-from mucinf.errors import MucinfError, ShapeMismatch, TypingError
-from mucinf.fmat import OMEGA_FIN, SparseMatrix, finite_space, include_mat
+from mucinf.errors import (DimensionOverflow, MucinfError, ShapeMismatch,
+                           TypingError)
+from mucinf.fmat import (MAX_EXPLICIT, OMEGA_FIN, SparseMatrix, finite_space,
+                         include_mat, sparse_identity)
 from mucinf.matc import MAT
 from mucinf.objects import Base
 
@@ -102,6 +105,24 @@ class TestFmat:
         assert d["tgt"]["A"] == "fin" and d["tgt"]["B"] == "all"
         again = jsonio.fmat_from_json(d)
         assert again.entries == m.entries
+
+    def test_power_families_are_written_in_full(self):
+        # sha256 of this output as the writer gave it when it listed
+        # explicitly enumerated power families
+        labels = [(), (0,), ("*",), ("a", "b", "c"), tuple(range(10)),
+                  ((0, 1), (1, 0)), (0, "a", 2.5)]
+        text = "\n".join(json.dumps(jsonio.fmat_to_json(
+            sparse_identity(finite_space(x)))) for x in labels)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8cf247919e7d9aa8bde83e779695dd6bd2546b5adebdd79c9a12b5708f92c701")
+        space = jsonio.fmat_to_json(sparse_identity(finite_space((0, 1))))
+        assert space["src"]["A"] == [[0, 1], [0], [1], []]
+
+    def test_writer_refuses_to_list_a_long_power_family(self):
+        for n in (MAX_EXPLICIT + 1, 40):
+            m = sparse_identity(finite_space(tuple(range(n))))
+            with pytest.raises(DimensionOverflow):
+                jsonio.fmat_to_json(m)
 
     def test_check_report_valid(self):
         m = include_mat(np.eye(2))
