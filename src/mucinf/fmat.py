@@ -14,10 +14,10 @@ family is the power family P(X), so every closed finite space is
 (X, P(X), P(X)); P(X) is held symbolically as ``PowerFamily``, whose
 membership, inclusion and relation checks take time in |X| and the
 support, never in the 2**|X| subsets, so closed spaces have no label cap.
-Other families are explicit (``fmat-check`` input and the unclosed
-families of mutation testing); they are closed downward under subset on
-construction, which keeps the invariants checkable, and only they are
-capped, at ``MAX_EXPLICIT`` labels per member.
+Other families are explicit (``fmat-check`` input); they are closed
+downward under subset on construction, which keeps the invariants
+checkable, and only they are capped, at ``MAX_EXPLICIT`` labels per member.
+A support label outside a finite index set fails relation typing.
 
 The inclusion of finite matrices lands on the spaces (X, P(X), P(X)) with X
 finite; it is a strict functor, so all its strengths are identity matrices.
@@ -27,7 +27,7 @@ Its dense round trips are bounded by ``matc``'s size guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Tuple, Union
 
@@ -60,6 +60,11 @@ class FiniteIndex:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise TypingError("finite index set has repeated labels")
+
+    @cached_property
+    def members(self) -> FrozenSet:
+        """The labels as a set, built once per index."""
+        return frozenset(self.labels)
 
 
 OMEGA = OmegaIndex()
@@ -109,11 +114,9 @@ def downward_closure(sets) -> FrozenSet[FrozenSet]:
     return frozenset(closed)
 
 
-def explicit_family(sets, close: bool = True) -> ExplicitFamily:
-    """Build an explicit family, downward closed unless told otherwise."""
-    if close:
-        return ExplicitFamily(downward_closure(sets))
-    return ExplicitFamily(frozenset(frozenset(s) for s in sets))
+def explicit_family(sets) -> ExplicitFamily:
+    """Build an explicit family, closed downward under subset."""
+    return ExplicitFamily(downward_closure(sets))
 
 
 def power_family(index: FiniteIndex) -> PowerFamily:
@@ -185,32 +188,12 @@ class FinitenessSpace:
         return FinitenessSpace(self.index, self.fam_b, self.fam_a)
 
 
-def finite_space(labels, close: bool = True) -> FinitenessSpace:
-    """The space (X, P(X), P(X)) on explicit labels.
-
-    ``close=False`` skips the downward closure and is only useful for
-    demonstrating how the typing discipline breaks without it.
-    """
-    return _finite_space_cached(tuple(labels), close)
-
-
 @lru_cache(maxsize=None)
-def _finite_space_cached(labels: Tuple, close: bool) -> FinitenessSpace:
-    index = FiniteIndex(tuple(labels))
-    if close:
-        fam = power_family(index)
-        return FinitenessSpace(index, fam, fam)
-    if len(index.labels) > MAX_EXPLICIT:
-        raise DimensionOverflow(
-            f"finite space on {len(index.labels)} labels is beyond desk scale")
-    fam = explicit_family([index.labels], close=False)
-    # bypass validation so the broken families can be observed failing at
-    # relation-typing time instead of at construction
-    space = object.__new__(FinitenessSpace)
-    object.__setattr__(space, "index", index)
-    object.__setattr__(space, "fam_a", fam)
-    object.__setattr__(space, "fam_b", fam)
-    return space
+def finite_space(labels: Tuple) -> FinitenessSpace:
+    """The space (X, P(X), P(X)) on the label tuple X."""
+    index = FiniteIndex(labels)
+    fam = power_family(index)
+    return FinitenessSpace(index, fam, fam)
 
 
 OMEGA_FIN = FinitenessSpace(OMEGA, TagFamily(FIN), TagFamily(ALL))
@@ -223,6 +206,8 @@ def check_finiteness_relation(support, src: FinitenessSpace,
     support = frozenset((x, y) for x, y in support)
     domain = frozenset(x for x, _ in support)
     rng = frozenset(y for _, y in support)
+    if not (_within(domain, src.index) and _within(rng, tgt.index)):
+        return False
 
     def image(subset):
         return frozenset(y for x, y in support if x in subset)
@@ -232,6 +217,10 @@ def check_finiteness_relation(support, src: FinitenessSpace,
 
     return (_maps_into(src.fam_a, tgt.fam_a, domain, image)
             and _maps_into(tgt.fam_b, src.fam_b, rng, preimage))
+
+
+def _within(labels: FrozenSet, index: IndexSet) -> bool:
+    return not isinstance(index, FiniteIndex) or labels <= index.members
 
 
 def _maps_into(family: SetFamily, target: SetFamily, reach: FrozenSet,
@@ -375,18 +364,13 @@ class FmatModel(Model):
     """Finiteness matrices as a law-suite model.
 
     The unitary subcategory is presented by the dense model; ``include``
-    is the inclusion functor.  ``close_families=False`` reproduces the
-    broken world without downward closure, for mutation testing only.
+    is the inclusion functor.
     """
 
     base = "fmat"
 
-    def __init__(self, name: str = "fmat", close_families: bool = True):
+    def __init__(self, name: str = "fmat"):
         self.name = name
-        self.close_families = close_families
-
-    def _finite_space(self, labels) -> FinitenessSpace:
-        return finite_space(labels, close=self.close_families)
 
     # interpretation ---------------------------------------------------------
     def interpret(self, expr: ObjectExpr) -> FinitenessSpace:
@@ -524,7 +508,7 @@ class FmatModel(Model):
 
     def include_expr(self, expr: ObjectExpr) -> ObjectExpr:
         if isinstance(expr, Base):
-            return Base(self._finite_space(tuple(range(expr.label))))
+            return Base(finite_space(tuple(range(expr.label))))
         if isinstance(expr, Tensor):
             return Tensor(self.include_expr(expr.left),
                           self.include_expr(expr.right))

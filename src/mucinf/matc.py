@@ -25,6 +25,8 @@ Conventions
   interpretation cost no matmul.
 * Size guards bound each side of a payload by ``DIM_LIMIT`` and its number
   of entries by ``ENTRY_LIMIT``, before anything is allocated.
+* The model has no fault switches: the suite's mutants are subclasses that
+  override one payload method (``tests/mutants.py``).
 * Choi matrices live here: ``ChoiMatrix`` is the canonical form of a
   channel in this model and in the finite fragment of ``fmat``, and
   ``choi`` computes it from a Kraus body.
@@ -108,20 +110,15 @@ def commutation_perm(a: int, b: int) -> np.ndarray:
     """Permutation matrix P with ``P @ kron(x, y) = kron(y, x)``
     for x of dimension a and y of dimension b."""
     _check_size(a * b, a * b, "commutation permutation")
-    p = np.zeros((a * b, a * b), dtype=complex)
-    for i in range(a):
-        for j in range(b):
-            p[j * a + i, i * b + j] = 1.0
-    return _freeze(p)
+    # row j*a + i of P is row i*b + j of the identity
+    return _freeze(np.eye(a * b, dtype=complex).reshape(a, b, a * b)
+                   .transpose(1, 0, 2).reshape(a * b, a * b))
 
 
 def bell_unit(a: int) -> np.ndarray:
     """Cup eta: 1 -> a*a, the column sum of e_i (x) e_i."""
     _check_size(a * a, 1, "cup")
-    v = np.zeros((a * a, 1), dtype=complex)
-    for i in range(a):
-        v[i * a + i, 0] = 1.0
-    return _freeze(v)
+    return _freeze(np.eye(a, dtype=complex).reshape(a * a, 1))
 
 
 def bell_counit(a: int) -> np.ndarray:
@@ -222,19 +219,13 @@ def choi(body: np.ndarray, ancilla_dim: int) -> ChoiMatrix:
 
 
 class MatModel(Model):
-    """Finite complex matrices as a law-suite model.
-
-    ``mutations`` deliberately corrupts parts of the structure; it exists so
-    the suite's sensitivity can be tested against broken fixtures and must
-    stay empty for the real model.
-    """
+    """Finite complex matrices as a law-suite model."""
 
     base = "mat"
     dense = True
 
-    def __init__(self, name: str = "mat", mutations=()):
+    def __init__(self, name: str = "mat"):
         self.name = name
-        self.mutations = frozenset(mutations)
 
     # interpretation ------------------------------------------------------
     def interpret(self, expr: ObjectExpr) -> int:
@@ -276,29 +267,16 @@ class MatModel(Model):
     par_payload = tensor_payload
 
     def dagger_payload(self, f: Morphism) -> np.ndarray:
-        if "transpose_only_dagger" in self.mutations:
-            return _freeze(f.payload.T)
         return mat_dagger(f.payload)
 
     def structural_payload(self, name, args, dom, cod) -> np.ndarray:
         if name in ("c_tensor", "c_par"):
-            p = commutation_perm(self.interpret(args[0]),
-                                 self.interpret(args[1]))
-            if "transpose_commutation" in self.mutations:
-                p = _freeze(p.T)
-            return p
+            return commutation_perm(self.interpret(args[0]),
+                                    self.interpret(args[1]))
         if name == "eta":
             return bell_unit(self.interpret(args[0]))
         if name == "eps":
             return bell_counit(self.interpret(args[0]))
-        if name in ("m", "m_inv") and "scale_mix" in self.mutations:
-            return _freeze(np.array([[2.0]], dtype=complex))
-        if name == "lam_tensor" and "swap_laxor_tensor" in self.mutations:
-            return commutation_perm(self.interpret(args[0]),
-                                    self.interpret(args[1]))
-        if name == "lam_tensor" and "skew_laxor_tensor" in self.mutations:
-            return _freeze(float(self.interpret(args[0]))
-                           * mat_identity(self.interpret(dom)))
         # everything else is an identity: the interpretation is strict and
         # the dagger is stationary on objects
         din, dout = self.interpret(dom), self.interpret(cod)

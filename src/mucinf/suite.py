@@ -122,28 +122,27 @@ def _(model, rng, tol):
     return 0.0, None
 
 
-@_prop("CP-TENSOR-ACTION", "(k1 x k2)(rho1 x rho2) = k1(rho1) x k2(rho2)")
-def _(model, rng, tol):
-    k1 = cpinf.random_channel(model, rng)
-    k2 = cpinf.random_channel(model, rng)
-    r1 = cpinf.random_density(rng, model.interpret(k1.dom))
-    r2 = cpinf.random_density(rng, model.interpret(k2.dom))
-    joint = cpinf.channel_action(cpinf.kraus_tensor(k1, k2), np.kron(r1, r2))
-    split = np.kron(cpinf.channel_action(k1, r1),
-                    cpinf.channel_action(k2, r2))
-    return float(np.max(np.abs(joint - split), initial=0.0)), None
+def _action_entry(product: str):
+    def trial(model, rng, tol):
+        k1 = cpinf.random_channel(model, rng)
+        k2 = cpinf.random_channel(model, rng)
+        r1 = cpinf.random_density(rng, model.interpret(k1.dom))
+        r2 = cpinf.random_density(rng, model.interpret(k2.dom))
+        # looked up when run, so a wrapper installed after import sees it
+        joint = cpinf.channel_action(getattr(cpinf, product)(k1, k2),
+                                     np.kron(r1, r2))
+        split = np.kron(cpinf.channel_action(k1, r1),
+                        cpinf.channel_action(k2, r2))
+        return float(np.max(np.abs(joint - split), initial=0.0)), None
+    return trial
 
 
-@_prop("CP-PAR-ACTION", "(k1 + k2)(rho1 x rho2) = k1(rho1) x k2(rho2)")
-def _(model, rng, tol):
-    k1 = cpinf.random_channel(model, rng)
-    k2 = cpinf.random_channel(model, rng)
-    r1 = cpinf.random_density(rng, model.interpret(k1.dom))
-    r2 = cpinf.random_density(rng, model.interpret(k2.dom))
-    joint = cpinf.channel_action(cpinf.kraus_par(k1, k2), np.kron(r1, r2))
-    split = np.kron(cpinf.channel_action(k1, r1),
-                    cpinf.channel_action(k2, r2))
-    return float(np.max(np.abs(joint - split), initial=0.0)), None
+for _id, _product, _text in (
+        ("CP-TENSOR-ACTION", "kraus_tensor",
+         "(k1 x k2)(rho1 x rho2) = k1(rho1) x k2(rho2)"),
+        ("CP-PAR-ACTION", "kraus_par",
+         "(k1 + k2)(rho1 x rho2) = k1(rho1) x k2(rho2)")):
+    _prop(_id, _text)(_action_entry(_product))
 
 
 @_prop("CP-TENSOR-PAR-AGREE", "both channel tensors coincide (compact model)")
@@ -440,9 +439,7 @@ def list_laws() -> List[dict]:
 def _law_trial(law) -> TrialFn:
     """One catalog law as a trial: sample its objects, check it once."""
     def trial(model, rng, tol):
-        objects = [model.random_object(rng, unitary=law.needs_unitary)
-                   for _ in range(law.arity)]
-        rep = check_law(law.law_id, model, objects, rng=rng, tol=tol)
+        rep = check_law(law.law_id, model, rng=rng, tol=tol)
         return rep.max_abs_deviation, rep.witness
     return trial
 

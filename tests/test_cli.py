@@ -145,6 +145,18 @@ def test_fmat_check(tmp_path, capsys):
     assert code == 1 and not json.loads(out)["valid"]
 
 
+def test_fmat_check_rejects_labels_outside_the_index(tmp_path, capsys):
+    space = {"X": [0, 1], "A": [[0, 1], [0], [1], []],
+             "B": [[0, 1], [0], [1], []]}
+    p = tmp_path / "outside.json"
+    p.write_text(json.dumps({"src": space, "tgt": space,
+                             "entries": [[5, 7, 1.0, 0.0]]}))
+    code, out, _ = run(capsys, "fmat-check", str(p))
+    report = json.loads(out)
+    assert code == 1 and report["src_space_valid"]
+    assert report["relation_valid"] is False and report["valid"] is False
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MUC_CPINF_SEED", "42")
     code, out, _ = run(capsys, "laws-run", "--model", "cplane",

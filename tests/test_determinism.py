@@ -12,8 +12,11 @@ import hashlib
 import json
 
 from mucinf.suite import SuiteConfig, run_suite
+from mutants import MUTANTS, registered
 
 SEED7_DIGEST = "b7cedcd539c5ca9f"
+# the six coherence mutants at 25 trials, seed 0: 319 reports, 33 failing
+MUTANTS_DIGEST = "b135442e96bbf854"
 
 
 def laws_digest(reports) -> str:
@@ -27,3 +30,13 @@ def test_seed7_deviations_are_bit_identical():
                                     trials=100, seed=7))
     assert all(r.passed for r in reports)
     assert laws_digest(reports) == SEED7_DIGEST
+
+
+def test_mutant_deviations_are_bit_identical():
+    reports = []
+    for model in MUTANTS:
+        with registered(model):
+            reports += run_suite(SuiteConfig(models=(model.name,),
+                                             trials=25, seed=0))
+    assert (len(reports), sum(not r.passed for r in reports)) == (319, 33)
+    assert laws_digest(reports) == MUTANTS_DIGEST

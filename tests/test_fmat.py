@@ -17,6 +17,7 @@ from mucinf.fmat import (ALL, FIN, FMAT, MAX_EXPLICIT, ExplicitFamily,
                          fmat_dagger, from_dense, include_mat, perp,
                          power_family, sparse_identity, to_dense)
 from mucinf.matc import ENTRY_LIMIT
+from mutants import unclosed_family, unclosed_space
 
 label_sets = st.lists(st.integers(0, 5), min_size=1, max_size=5,
                       unique=True).map(tuple)
@@ -116,6 +117,15 @@ class TestRelations:
         s = finite_space((0, 1, 2))
         t = finite_space(("a", "b"))
         assert check_finiteness_relation([(0, "a"), (2, "b")], s, t)
+
+    def test_labels_outside_a_finite_index_do_not_type(self):
+        s = finite_space((0, 1))
+        with pytest.raises(TypingError):
+            SparseMatrix(s, s, ((5, 7, 1.0),))
+        assert not check_finiteness_relation([(5, 0)], s, OMEGA_FIN)
+        assert not check_finiteness_relation([(0, 7)], OMEGA_FIN, s)
+        # a symbolic infinite index admits every label
+        assert check_finiteness_relation([(0, 7)], s, OMEGA_FIN)
 
 
 class TestSparse:
@@ -236,7 +246,7 @@ class TestPowerFamily:
     def test_an_unclosed_target_is_checked_member_by_member(self):
         # as in fmat!no-closure: the image of the empty member, not only
         # that of X, must lie in the target {{0}}
-        closed, unclosed = finite_space((0, 1)), finite_space((0,), close=False)
+        closed, unclosed = finite_space((0, 1)), unclosed_space((0,))
         assert not check_finiteness_relation([(0, 0)], closed, unclosed)
         assert not check_finiteness_relation([(0, 0)], unclosed, closed)
 
@@ -261,7 +271,7 @@ SUBSETS = st.lists(st.frozensets(LABEL, max_size=4), max_size=4)
 FAMILIES = st.one_of(
     st.sampled_from([FIN, ALL]).map(TagFamily),
     SUBSETS.map(explicit_family),
-    SUBSETS.map(lambda sets: explicit_family(sets, close=False)),
+    SUBSETS.map(unclosed_family),
     st.frozensets(LABEL, max_size=5).map(PowerFamily))
 
 
@@ -281,8 +291,9 @@ def test_symbolic_power_family_answers_as_its_enumeration(
         fams = [p if slots >> i & 1 else (other, third)[i % 2]
                 for i in range(4)]
         return check_finiteness_relation(
-            support, SimpleNamespace(fam_a=fams[0], fam_b=fams[1]),
-            SimpleNamespace(fam_a=fams[2], fam_b=fams[3]))
+            support, SimpleNamespace(index=OMEGA, fam_a=fams[0],
+                                     fam_b=fams[1]),
+            SimpleNamespace(index=OMEGA, fam_a=fams[2], fam_b=fams[3]))
 
     for fn in (lambda p: perp(p, index),
                lambda p: perp(p, FiniteIndex(tuple(subset))),

@@ -197,6 +197,15 @@ class TestCommutationPerm:
                 out = p @ col
                 assert out[j * 2 + i] == 1 and out.sum() == 1
 
+    def test_matches_the_index_loop(self):
+        for a in range(1, 9):
+            for b in range(1, 9):
+                p = np.zeros((a * b, a * b), dtype=complex)
+                for i in range(a):
+                    for j in range(b):
+                        p[j * a + i, i * b + j] = 1.0
+                assert np.array_equal(commutation_perm(a, b), p)
+
     def test_inverse_pair(self):
         assert np.array_equal(commutation_perm(2, 3) @ commutation_perm(3, 2),
                               mat_identity(6))

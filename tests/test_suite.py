@@ -1,5 +1,5 @@
-import contextlib
 import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -7,21 +7,13 @@ import pytest
 from mucinf import cpinf
 from mucinf.cplane import CplaneModel
 from mucinf.errors import UnknownLaw, UnknownModel
-from mucinf.fmat import FmatModel
+from mucinf.fmat import FmatModel, explicit_family, finite_space
 from mucinf.laws import check_law
 from mucinf.matc import MatModel
-from mucinf.morphisms import (compose, get_model, identity, register_model,
-                              registered_models, unregister_model)
+from mucinf.morphisms import compose, get_model, identity, registered_models
 from mucinf.suite import SuiteConfig, list_laws, run_suite
-
-
-@contextlib.contextmanager
-def registered(model):
-    register_model(model)
-    try:
-        yield model
-    finally:
-        unregister_model(model.name)
+from mutants import (MUTANTS, CrashingCup, NanMix, ScaledMix, SkewLaxor,
+                     SwapLaxor, registered)
 
 
 def test_config_validation():
@@ -77,15 +69,7 @@ def test_list_laws_catalog():
     assert u5a["kind"] == "coherence"
 
 
-MUTATIONS = [
-    ("mat!swap-laxor", MatModel("mat!swap-laxor", {"swap_laxor_tensor"})),
-    ("mat!transpose-dagger",
-     MatModel("mat!transpose-dagger", {"transpose_only_dagger"})),
-    ("mat!scaled-mix", MatModel("mat!scaled-mix", {"scale_mix"})),
-    ("mat!transpose-comm",
-     MatModel("mat!transpose-comm", {"transpose_commutation"})),
-    ("fmat!no-closure", FmatModel("fmat!no-closure", close_families=False)),
-]
+MUTATIONS = [(m.name, m) for m in MUTANTS]
 
 
 @pytest.mark.parametrize("name,model", MUTATIONS, ids=[m[0] for m in MUTATIONS])
@@ -96,9 +80,17 @@ def test_mutation_sensitivity(name, model):
     assert failing, f"mutant {name} slipped through the suite"
 
 
+def test_models_have_no_fault_switches():
+    # mutants are subclasses in tests/mutants.py, not options of the models
+    for fn, params in ((MatModel, ["name"]), (FmatModel, ["name"]),
+                       (finite_space, ["labels"]),
+                       (explicit_family, ["sets"])):
+        assert list(inspect.signature(fn).parameters) == params
+
+
 def test_mutant_law_set_comes_from_its_class():
     # the name carries no family marker; the class's base decides the laws
-    with registered(MatModel("broken", {"scale_mix"})):
+    with registered(ScaledMix("broken")):
         reps = run_suite(SuiteConfig(models=("broken",), trials=5, seed=0))
     assert reps and {r.model for r in reps} == {"broken"}
     assert any(r.law == "U4a" and not r.passed for r in reps)
@@ -112,18 +104,18 @@ def test_unknown_model_is_rejected():
 def test_specific_mutation_failures():
     # swapping the laxor's arguments is still coherent for the associator
     # square, but the symmetry square catches it
-    with registered(MatModel("mat!swap-laxor2", {"swap_laxor_tensor"})):
+    with registered(SwapLaxor("mat!swap-laxor2")):
         reps = run_suite(SuiteConfig(models=("mat!swap-laxor2",), trials=25,
                                      seed=0, law_filter="DLDC7a"))
     assert not reps[0].passed and reps[0].witness is not None
 
     # an argument-skewed laxor breaks the associator square itself
-    with registered(MatModel("mat!skew-laxor", {"skew_laxor_tensor"})):
+    with registered(SkewLaxor("mat!skew-laxor")):
         reps = run_suite(SuiteConfig(models=("mat!skew-laxor",), trials=25,
                                      seed=0, law_filter="DLDC1a"))
     assert not reps[0].passed and reps[0].witness is not None
 
-    with registered(MatModel("mat!scaled-mix2", {"scale_mix"})):
+    with registered(ScaledMix("mat!scaled-mix2")):
         reps = run_suite(SuiteConfig(models=("mat!scaled-mix2",), trials=5,
                                      seed=0, law_filter="U4a"))
     assert not reps[0].passed
@@ -190,17 +182,10 @@ def test_a_registered_cplane_model_draws_its_own_objects():
     assert all(r.passed and r.model == "cplane-y" for r in reps)
 
 
-class _NanMix(MatModel):
-    def structural_payload(self, name, args, dom, cod):
-        if name in ("m", "m_inv"):
-            return np.full((1, 1), np.nan, dtype=complex)
-        return super().structural_payload(name, args, dom, cod)
-
-
 def test_a_nan_payload_fails_the_laws_it_enters():
     # NaN compares false with everything; a fold that keeps the larger
     # deviation by comparison would report 0.0 and pass
-    with registered(_NanMix("mat-nan")) as model:
+    with registered(NanMix("mat-nan")) as model:
         for law in ("U4a", "U4b"):
             rep = check_law(law, model, seed=1)
             assert not rep.passed
@@ -221,15 +206,8 @@ def test_unmutated_twin_passes_every_report():
     assert [r.law for r in reps if not r.passed] == []
 
 
-class _CrashingCup(MatModel):
-    def structural_payload(self, name, args, dom, cod):
-        if name == "eta":
-            raise ZeroDivisionError("cup")
-        return super().structural_payload(name, args, dom, cod)
-
-
 def test_a_crashing_entry_becomes_a_failed_report():
-    with registered(_CrashingCup("mat-crash")):
+    with registered(CrashingCup("mat-crash")):
         reps = run_suite(SuiteConfig(models=("mat-crash",), trials=3, seed=7))
     failed = {r.law: r for r in reps if not r.passed}
     assert sorted(failed) == ["SNAKE-L", "SNAKE-R", "UDUALa", "UDUALb"]
