@@ -136,11 +136,14 @@ def _family_from_json(obj) -> SetFamily:
                             for subset in _array(obj, "family")])
 
 
-def _label(x):
-    # JSON labels are scalars; lists are not hashable
+def _label(x, depth: int = 32):
+    # scalars, or lists for product labels, bounded so no stack runs out
+    if isinstance(x, list) and depth > 0:
+        return tuple(_label(y, depth - 1) for y in x)
     if isinstance(x, (str, int, float, bool)):
         return x
-    raise TypingError(f"labels must be scalars, got {x!r}")
+    raise TypingError(f"labels must be scalars or lists of them at most "
+                      f"32 deep, got {x!r}")
 
 
 def _space_to_json(space: FinitenessSpace) -> dict:

@@ -17,12 +17,12 @@ Conventions
   syntax keeps track of daggers.
 * Channel bodies put the ancilla wire first: a Kraus body ``A -> U * B`` is
   a ``(u*b) x a`` matrix whose block rows are the Kraus operators.
-* Identity payloads are shared: ``mat_identity(n)`` returns the same
-  read-only array for as long as some payload still holds it.  Composing
-  with a shared identity returns the other operand itself (when that is
-  already a frozen payload), and the Kronecker product of two identities is
-  the shared identity of the product, so the structural maps of the strict
-  interpretation cost no matmul.
+* Identity payloads are shared: ``mat_identity(n)`` is a read-only window
+  onto one fixed buffer, the same on every request, so no identity is ever
+  allocated or rebuilt.  Composing with a shared identity returns the other
+  operand itself (when that is a frozen payload), and the Kronecker product
+  of two identities is the shared identity of the product, so the
+  structural maps of the strict interpretation cost no matmul.
 * Size guards bound each side of a payload by ``DIM_LIMIT`` and its number
   of entries by ``ENTRY_LIMIT``, before anything is allocated.
 * The model has no fault switches: the suite's mutants are subclasses that
@@ -34,10 +34,11 @@ Conventions
 
 from __future__ import annotations
 
-import weakref
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (DimensionOverflow, DomCodMismatch, NotHermitian,
                      ShapeMismatch, TypingError)
@@ -48,12 +49,11 @@ from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
 DIM_LIMIT = 2 ** 16  # desk-scale guard on each side of a matrix
 ENTRY_LIMIT = 2 ** 24  # and on its entries: 256 MiB of complex128
 
-# the shared identity of each dimension some payload still holds
-_EYES: "weakref.WeakValueDictionary[int, np.ndarray]" = \
-    weakref.WeakValueDictionary()
 
-
-def _check_size(rows: int, cols: int, what: str) -> None:
+def _check_size(rows: int, cols: int, what: str, *factors: int) -> None:
+    if min(rows, cols, *factors) < 0:
+        raise ShapeMismatch(
+            f"{what} needs sizes >= 0, got {(rows, cols, *factors)}")
     if rows > DIM_LIMIT or cols > DIM_LIMIT:
         raise DimensionOverflow(
             f"{what} {rows}x{cols} exceeds dimension {DIM_LIMIT}")
@@ -69,20 +69,27 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _is_frozen(a: np.ndarray) -> bool:
-    """Whether ``_freeze(a)`` would return ``a`` itself, unchanged."""
+    """Whether ``a`` is a payload as it is: frozen, or a shared identity."""
     return (a.dtype == np.complex128 and a.flags.c_contiguous
-            and not a.flags.writeable)
+            and not a.flags.writeable) or _is_eye(a)
 
 
 def _is_eye(a: np.ndarray) -> bool:
     return _EYES.get(a.shape[0]) is a
 
 
+# zeros around one 1, reaching the largest identity the guard admits
+_SIDE = math.isqrt(ENTRY_LIMIT)
+_ONE = _freeze(np.arange(1 - _SIDE, _SIDE) == 0)
+_EYES: "dict[int, np.ndarray]" = {}
+
+
 def mat_identity(dim: int) -> np.ndarray:
-    _check_size(dim, dim, "identity")
     eye = _EYES.get(dim)
     if eye is None:
-        eye = _EYES[dim] = _freeze(np.eye(dim, dtype=complex))
+        _check_size(dim, dim, "identity")
+        # row i starts i entries before the 1; read-only like the buffer
+        eye = _EYES[dim] = as_strided(_ONE[_SIDE - 1:], (dim, dim), (-16, 16))
     return eye
 
 
@@ -109,16 +116,16 @@ def mat_dagger(f: np.ndarray) -> np.ndarray:
 def commutation_perm(a: int, b: int) -> np.ndarray:
     """Permutation matrix P with ``P @ kron(x, y) = kron(y, x)``
     for x of dimension a and y of dimension b."""
-    _check_size(a * b, a * b, "commutation permutation")
+    _check_size(a * b, a * b, "commutation permutation", a, b)
     # row j*a + i of P is row i*b + j of the identity
-    return _freeze(np.eye(a * b, dtype=complex).reshape(a, b, a * b)
+    return _freeze(mat_identity(a * b).reshape(a, b, a * b)
                    .transpose(1, 0, 2).reshape(a * b, a * b))
 
 
 def bell_unit(a: int) -> np.ndarray:
     """Cup eta: 1 -> a*a, the column sum of e_i (x) e_i."""
-    _check_size(a * a, 1, "cup")
-    return _freeze(np.eye(a, dtype=complex).reshape(a * a, 1))
+    _check_size(a * a, 1, "cup", a)
+    return _freeze(mat_identity(a).reshape(a * a, 1))
 
 
 def bell_counit(a: int) -> np.ndarray:

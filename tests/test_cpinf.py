@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,19 @@ class TestEquivalence:
     def test_oracle_zero_trials_vacuous(self):
         k1, k2 = cpinf.distinct_pair(MAT, RNG, Base(2), Base(2))
         assert equiv_testmap_oracle(k1, k2, trials=0, rng=RNG)["consistent"]
+
+    def test_oracle_builds_no_identity_matrix(self):
+        # each side glues structural maps of dimension u*b*c = 512, whose
+        # identity alone would take 4 MiB
+        k = random_channel(MAT, RNG, Base(8), Base(8), Base(8))
+        v = equivalent_variant(RNG, k)
+        tracemalloc.start()
+        try:
+            out = equiv_testmap_oracle(k, v, trials=1, rng=RNG, c_dims=(8,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out["consistent"] and peak < 2 * 2 ** 20
 
     def test_testmap_chain_reduces_to_closed_form(self):
         # with every structural map an identity matrix, the glued wiring

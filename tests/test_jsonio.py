@@ -13,6 +13,7 @@ from mucinf.errors import (DimensionOverflow, MucinfError, ShapeMismatch,
 from mucinf.fmat import (MAX_EXPLICIT, OMEGA_FIN, SparseMatrix, finite_space,
                          include_mat, sparse_identity)
 from mucinf.matc import MAT
+from mucinf.morphisms import get_model, tensor
 from mucinf.objects import Base
 
 RNG = np.random.default_rng(77)
@@ -123,6 +124,29 @@ class TestFmat:
             m = sparse_identity(finite_space(tuple(range(n))))
             with pytest.raises(DimensionOverflow):
                 jsonio.fmat_to_json(m)
+
+    def test_product_labels_round_trip(self):
+        fmat = get_model("fmat")
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            f, g = (fmat.random_morphism(rng, fmat.random_object(rng),
+                                         fmat.random_object(rng))
+                    for _ in range(2))
+            m = tensor(f, g).payload
+            d = json.loads(json.dumps(jsonio.fmat_to_json(m)))
+            assert jsonio.fmat_from_json(d) == m
+            assert jsonio.fmat_check_report(d)["valid"]
+
+    def test_label_nesting_is_bounded(self):
+        deep = 0
+        for _ in range(800):
+            deep = [deep]
+        d = jsonio.fmat_to_json(include_mat(np.eye(1)))
+        d["entries"][0][0] = deep
+        with pytest.raises(TypingError):
+            jsonio.fmat_from_json(d)
+        report = jsonio.fmat_check_report(d)
+        assert not report["valid"] and "32 deep" in report["error"]
 
     def test_check_report_valid(self):
         m = include_mat(np.eye(2))

@@ -106,6 +106,56 @@ class TestSharedIdentity:
         assert mat_kron(f, mat_identity(1)) is f
 
 
+def _is_bitwise_eye(eye, n):
+    # bit for bit np.eye(n): only the n real parts of the diagonal have a
+    # bit set (a -0.0 would add one), and each of them is 1.0
+    return (eye.shape == (n, n) and eye.dtype == np.complex128
+            and np.count_nonzero(eye.view(np.uint64)) == n
+            and np.all(eye.diagonal() == 1))
+
+
+class TestIdentityWindow:
+    def test_every_identity_is_np_eye_bit_for_bit(self):
+        for n in [*range(71), 4096]:
+            eye = mat_identity(n)
+            assert _is_bitwise_eye(eye, n), n
+            assert mat_identity(n) is eye and not eye.flags.writeable
+        for n in range(8):
+            assert mat_identity(n).tobytes() == \
+                np.eye(n, dtype=complex).tobytes()
+
+    def test_dagger_and_kron_are_as_before(self):
+        for n in (1, 2, 5):
+            eye, f = mat_identity(n), frozen_random(3, 2)
+            assert np.array_equal(mat_dagger(eye), np.eye(n))
+            for out, want in ((mat_kron(eye, f), np.kron(np.eye(n), f)),
+                              (mat_kron(f, eye), np.kron(f, np.eye(n)))):
+                assert out.tobytes() == want.tobytes()
+
+    def test_compose_of_identities_is_the_identity(self):
+        eye = mat_identity(4)
+        assert compose(eye, eye) is eye
+
+    def test_negative_sizes_are_shape_mismatches(self):
+        for make in (lambda: mat_identity(-1), lambda: bell_unit(-2),
+                     lambda: commutation_perm(-2, -3),
+                     lambda: commutation_perm(-2, 3)):
+            with pytest.raises(ShapeMismatch):
+                make()
+        assert mat_identity(0).shape == (0, 0)
+
+    def test_identities_allocate_no_matrix(self):
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                for n in range(1, 513):
+                    mat_identity(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the 512 identity alone is 4 MiB
+
+
 def _kron_factor(shape, eye):
     # a shared identity of the square side, or random entries (real or
     # complex, frozen or writeable)
@@ -225,6 +275,10 @@ class TestBell:
     def test_basis_expansion(self):
         assert np.array_equal(bell_unit(2),
                               np.array([[1.0], [0.0], [0.0], [1.0]]))
+        for a in range(1, 9):
+            cup = np.zeros((a * a, 1))
+            cup[::a + 1] = 1  # e_i (x) e_i sits at row i*a + i
+            assert np.array_equal(bell_unit(a), cup)
 
     def test_snake_composite(self):
         for a in (1, 2, 3, 4):
