@@ -268,7 +268,8 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
         lhs = _testmap_side(k1, h, c_expr, x_expr)
         rhs = _testmap_side(k2, h2, c_expr, x_expr)
         dev = float(np.max(np.abs(lhs.payload - rhs.payload), initial=0.0))
-        if dev > tol:
+        # phrased so that NaN, which fails every comparison, separates
+        if not dev <= tol:
             return {"consistent": False, "trials": trials,
                     "witness": {"trial": trial, "c_dim": c_expr.label,
                                 "x_dim": x_expr.label, "deviation": dev}}
@@ -335,10 +336,9 @@ def functor_Q(f: Morphism) -> KrausMorphism:
     return kraus_new(body, body.cod.left)
 
 
-def functor_N(f: Morphism, target_model: Optional[str] = None) -> KrausMorphism:
+def functor_N(f: Morphism) -> KrausMorphism:
     """The unitary subcategory mapped through the inclusion, then Q."""
-    m = get_model(target_model) if target_model else get_model(f.model)
-    return functor_Q(m.include(f))
+    return functor_Q(get_model(f.model).include(f))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,16 @@ checkable, and only they are capped, at ``MAX_EXPLICIT`` labels per member.
 A support label outside a finite index set fails relation typing.
 
 The inclusion of finite matrices lands on the spaces (X, P(X), P(X)) with X
-finite; it is a strict functor, so all its strengths are identity matrices.
-Its dense round trips are bounded by ``matc``'s size guard.
+finite; it is a strict functor, so all its strengths are identity matrices,
+and on finite spaces every structural map, tensor and Choi matrix is the
+dense model's matrix placed on the spaces' label enumerations.  Every dense
+matrix passes one gate, ``dense_shape``: both spaces finite, then
+``matc``'s size guard.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -33,10 +37,10 @@ from typing import Dict, FrozenSet, Tuple, Union
 
 import numpy as np
 
-from .errors import (DimensionOverflow, ShapeMismatch, SpaceMismatch,
-                     TypingError, UnsupportedInModel)
-from .matc import (ChoiMatrix, _check_size, bell_counit, bell_unit, choi,
-                   commutation_perm)
+from .errors import (DimensionOverflow, SpaceMismatch, TypingError,
+                     UnsupportedInModel)
+from .matc import (ChoiMatrix, _check_size, choi, mat_kron,
+                   structural_matrix)
 from .morphisms import Model, Morphism, get_model, register_model
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
@@ -247,9 +251,12 @@ class SparseMatrix:
     entries: Tuple[Tuple[Tuple, Tuple, complex], ...] = field(default=())
 
     def __post_init__(self):
+        entries = [(x, y, complex(v)) for x, y, v in self.entries]
+        # NaN fails the support test below, so it would silently vanish
+        if not all(cmath.isfinite(v) for _, _, v in entries):
+            raise TypingError("non-finite number in a matrix entry")
         cleaned = tuple(sorted(
-            ((x, y, complex(v)) for x, y, v in self.entries
-             if abs(v) > SUPPORT_EPS),
+            (e for e in entries if abs(e[2]) > SUPPORT_EPS),
             key=lambda t: (repr(t[0]), repr(t[1]))))
         object.__setattr__(self, "entries", cleaned)
         if not check_finiteness_relation(
@@ -261,6 +268,13 @@ class SparseMatrix:
 
     def support(self) -> FrozenSet:
         return frozenset((x, y) for x, y, _ in self.entries)
+
+
+def sparse_deviation(m1: SparseMatrix, m2: SparseMatrix) -> float:
+    """Largest entrywise difference of two sparse matrices."""
+    a, b = m1.as_dict(), m2.as_dict()
+    return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in set(a) | set(b)),
+               default=0.0)
 
 
 def sparse_from_dict(src, tgt, mapping) -> SparseMatrix:
@@ -296,6 +310,18 @@ def fmat_dagger(m: SparseMatrix) -> SparseMatrix:
                         tuple((y, x, v.conjugate()) for x, y, v in m.entries))
 
 
+def dense_shape(src: FinitenessSpace, tgt: FinitenessSpace,
+                what: str) -> Tuple[int, int]:
+    """The one gate into the dense model: ``(rows, cols)`` of a matrix
+    between two finite spaces, within ``matc``'s size guard."""
+    if not (isinstance(src.index, FiniteIndex)
+            and isinstance(tgt.index, FiniteIndex)):
+        raise UnsupportedInModel(f"{what} lives in the finite fragment")
+    rows, cols = len(tgt.index.labels), len(src.index.labels)
+    _check_size(rows, cols, what)
+    return rows, cols
+
+
 def from_dense(dense: np.ndarray, src: FinitenessSpace,
                tgt: FinitenessSpace) -> SparseMatrix:
     """A dense array between finite spaces (column convention) on their
@@ -305,30 +331,20 @@ def from_dense(dense: np.ndarray, src: FinitenessSpace,
                                         in np.ndenumerate(dense)))
 
 
-def include_mat(dense: np.ndarray, src_labels=None, tgt_labels=None
-                ) -> SparseMatrix:
+def include_mat(dense: np.ndarray) -> SparseMatrix:
     """The inclusion functor on morphisms: a finite matrix becomes a
     finitely supported matrix between power-family spaces."""
-    dense = np.asarray(dense, dtype=complex)
-    rows, cols = dense.shape
-    src_labels = tuple(range(cols)) if src_labels is None else tuple(src_labels)
-    tgt_labels = tuple(range(rows)) if tgt_labels is None else tuple(tgt_labels)
-    if len(src_labels) != cols or len(tgt_labels) != rows:
-        raise ShapeMismatch("label count does not match matrix shape")
-    return from_dense(dense, finite_space(src_labels),
-                      finite_space(tgt_labels))
+    rows, cols = np.shape(dense)
+    return from_dense(dense, finite_space(tuple(range(cols))),
+                      finite_space(tuple(range(rows))))
 
 
 def to_dense(m: SparseMatrix) -> np.ndarray:
     """Densify a matrix between finite spaces (column convention)."""
-    if not (isinstance(m.src.index, FiniteIndex)
-            and isinstance(m.tgt.index, FiniteIndex)):
-        raise UnsupportedInModel("cannot densify a symbolic infinite space")
-    _check_size(len(m.tgt.index.labels), len(m.src.index.labels),
-                "dense fmat matrix")
+    out = np.zeros(dense_shape(m.src, m.tgt, "dense fmat matrix"),
+                   dtype=complex)
     src_pos = {x: j for j, x in enumerate(m.src.index.labels)}
     tgt_pos = {y: i for i, y in enumerate(m.tgt.index.labels)}
-    out = np.zeros((len(tgt_pos), len(src_pos)), dtype=complex)
     for x, y, v in m.entries:
         out[tgt_pos[y], src_pos[x]] = v
     return out
@@ -348,10 +364,6 @@ def _product_space(left: FinitenessSpace, right: FinitenessSpace
         return left
     if left.fam_a == right.fam_a:
         return left
-    return _unsupported_mix()
-
-
-def _unsupported_mix():
     raise UnsupportedInModel(
         "mixed fin/all products over the infinite index set fall outside "
         "the two-tag lattice")
@@ -403,14 +415,10 @@ class FmatModel(Model):
         fp, gp = f.payload, g.payload
         src = _product_space(fp.src, gp.src)
         tgt = _product_space(fp.tgt, gp.tgt)
-        if not (isinstance(src.index, FiniteIndex)
-                and isinstance(tgt.index, FiniteIndex)):
-            raise UnsupportedInModel("products of symbolic spaces")
-        _check_size(len(tgt.index.labels), len(src.index.labels),
-                    "fmat kron result")
+        dense_shape(src, tgt, "fmat kron result")
         # go through the dense Kronecker product so the strict-inclusion
         # laws hold bit for bit, not merely within tolerance
-        return from_dense(np.kron(to_dense(fp), to_dense(gp)), src, tgt)
+        return from_dense(mat_kron(to_dense(fp), to_dense(gp)), src, tgt)
 
     par_payload = tensor_payload
 
@@ -419,38 +427,16 @@ class FmatModel(Model):
 
     def structural_payload(self, name, args, dom, cod) -> SparseMatrix:
         src, tgt = self.interpret(dom), self.interpret(cod)
-        if not (isinstance(src.index, FiniteIndex)
-                and isinstance(tgt.index, FiniteIndex)):
-            raise UnsupportedInModel(
-                f"structural map {name!r} lives in the finite fragment")
-        _check_size(len(tgt.index.labels), len(src.index.labels),
-                    f"structural map {name!r}")
-        # the structural content is the same as in the dense model; here it
-        # is transported onto the spaces' label enumerations
-        if name in ("c_tensor", "c_par"):
-            dims = []
-            for arg in args:
-                space = self.interpret(arg)
-                if not isinstance(space.index, FiniteIndex):
-                    raise UnsupportedInModel("commutation of symbolic spaces")
-                dims.append(len(space.index.labels))
-            dense = commutation_perm(dims[0], dims[1])
-        elif name == "eta":
-            dense = bell_unit(len(self.interpret(args[0]).index.labels))
-        elif name == "eps":
-            dense = bell_counit(len(self.interpret(args[0]).index.labels))
-        else:
-            if len(src.index.labels) != len(tgt.index.labels):
-                raise UnsupportedInModel(
-                    f"{name} would need a non-bijective relabelling")
-            dense = np.eye(len(src.index.labels), dtype=complex)
+        dense_shape(src, tgt, f"structural map {name!r}")
+        # a product space is finite only when both factors are, so every
+        # object the dense rule sizes is finite once the gate has passed
+        dense = structural_matrix(
+            name, args, dom, cod,
+            lambda e: len(self.interpret(e).index.labels))
         return from_dense(dense, src, tgt)
 
     def deviation(self, f: Morphism, g: Morphism) -> float:
-        a, b = f.payload.as_dict(), g.payload.as_dict()
-        keys = set(a) | set(b)
-        return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in keys),
-                   default=0.0)
+        return sparse_deviation(f.payload, g.payload)
 
     # channels -----------------------------------------------------------------
     def check_payload(self, f: Morphism) -> None:
@@ -461,13 +447,11 @@ class FmatModel(Model):
     def canonical(self, k) -> ChoiMatrix:
         """The Choi matrix of the densified body: the product labels of
         ``Par(U, B)`` run ancilla-first, as the dense model's rows do."""
-        spaces = [self.interpret(e) for e in (k.dom, k.cod, k.ancilla)]
-        if not all(isinstance(s.index, FiniteIndex) for s in spaces):
-            raise UnsupportedInModel(
-                "no decision procedure outside the finite fragment")
-        dim = len(spaces[0].index.labels) * len(spaces[1].index.labels)
-        _check_size(dim, dim, "Choi matrix")
-        return choi(to_dense(k.body.payload), len(spaces[2].index.labels))
+        body = to_dense(k.body.payload)
+        # the Choi matrix acts on B * A
+        square = self.interpret(Tensor(k.cod, k.dom))
+        dense_shape(square, square, "Choi matrix")
+        return choi(body, len(self.interpret(k.ancilla).index.labels))
 
     def kraus_compose_body(self, k1, k2) -> Morphism:
         # direct support surgery: never materialises the identity on the
@@ -491,15 +475,10 @@ class FmatModel(Model):
 
     def random_morphism(self, rng, dom, cod) -> Morphism:
         src, tgt = self.interpret(dom), self.interpret(cod)
-        if not (isinstance(src.index, FiniteIndex)
-                and isinstance(tgt.index, FiniteIndex)):
-            raise UnsupportedInModel("random morphisms need finite spaces")
-        entries = []
-        for x in src.index.labels:
-            for y in tgt.index.labels:
-                entries.append((x, y, complex(rng.random(), rng.random())))
-        return Morphism(self.name, dom, cod,
-                        SparseMatrix(src, tgt, tuple(entries)))
+        rows, cols = dense_shape(src, tgt, "random morphism")
+        # source label outermost, real part first, as a loop would draw
+        drawn = rng.random((cols, rows, 2)).view(complex)[..., 0]
+        return Morphism(self.name, dom, cod, from_dense(drawn.T, src, tgt))
 
     # inclusion functor ----------------------------------------------------------
     @property

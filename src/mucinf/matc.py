@@ -27,6 +27,9 @@ Conventions
   of entries by ``ENTRY_LIMIT``, before anything is allocated.
 * The model has no fault switches: the suite's mutants are subclasses that
   override one payload method (``tests/mutants.py``).
+* ``structural_matrix`` is the one rule for structural maps, serving both
+  this model and the finite fragment of ``fmat``, which places its
+  matrices on the spaces' label enumerations.
 * Choi matrices live here: ``ChoiMatrix`` is the canonical form of a
   channel in this model and in the finite fragment of ``fmat``, and
   ``choi`` computes it from a Kraus body.
@@ -131,6 +134,24 @@ def bell_unit(a: int) -> np.ndarray:
 def bell_counit(a: int) -> np.ndarray:
     """Cap eps: a*a -> 1, the transpose of the cup."""
     return _freeze(bell_unit(a).T)
+
+
+def structural_matrix(name, args, dom, cod, size) -> np.ndarray:
+    """The matrix of the structural map ``name``, where ``size`` gives an
+    object's dimension; it reads ``args`` only for the symmetries, cups and
+    caps, and ``dom``/``cod`` only for the identities."""
+    if name in ("c_tensor", "c_par"):
+        return commutation_perm(size(args[0]), size(args[1]))
+    if name == "eta":
+        return bell_unit(size(args[0]))
+    if name == "eps":
+        return bell_counit(size(args[0]))
+    # everything else is an identity: the interpretation is strict and
+    # the dagger is stationary on objects
+    din, dout = size(dom), size(cod)
+    if din != dout:
+        raise ShapeMismatch(f"{name}: {din} != {dout}")
+    return mat_identity(din)
 
 
 def check_hermitian(h: np.ndarray, tol: float = 1e-9) -> None:
@@ -277,19 +298,7 @@ class MatModel(Model):
         return mat_dagger(f.payload)
 
     def structural_payload(self, name, args, dom, cod) -> np.ndarray:
-        if name in ("c_tensor", "c_par"):
-            return commutation_perm(self.interpret(args[0]),
-                                    self.interpret(args[1]))
-        if name == "eta":
-            return bell_unit(self.interpret(args[0]))
-        if name == "eps":
-            return bell_counit(self.interpret(args[0]))
-        # everything else is an identity: the interpretation is strict and
-        # the dagger is stationary on objects
-        din, dout = self.interpret(dom), self.interpret(cod)
-        if din != dout:
-            raise ShapeMismatch(f"{name}: {din} != {dout}")
-        return mat_identity(din)
+        return structural_matrix(name, args, dom, cod, self.interpret)
 
     def deviation(self, f: Morphism, g: Morphism) -> float:
         return float(np.max(np.abs(f.payload - g.payload), initial=0.0))

@@ -75,22 +75,3 @@ def dag(expr: ObjectExpr) -> Dagger:
 
 def dual(expr: ObjectExpr) -> Dual:
     return Dual(expr)
-
-
-def pretty(expr: ObjectExpr) -> str:
-    """Compact single-line rendering, used in reports and error messages."""
-    if isinstance(expr, Base):
-        return str(expr.label)
-    if isinstance(expr, Tensor):
-        return f"({pretty(expr.left)} * {pretty(expr.right)})"
-    if isinstance(expr, Par):
-        return f"({pretty(expr.left)} + {pretty(expr.right)})"
-    if isinstance(expr, TensorUnit):
-        return "I"
-    if isinstance(expr, ParUnit):
-        return "J"
-    if isinstance(expr, Dagger):
-        return f"{pretty(expr.inner)}^"
-    if isinstance(expr, Dual):
-        return f"{pretty(expr.inner)}*"
-    raise TypeError(f"not an object expression: {expr!r}")

@@ -17,6 +17,10 @@ import numpy as np
 
 from . import cpinf
 from .errors import UnknownLaw
+from .fmat import (ALL, FIN, OMEGA, FiniteIndex, TagFamily,
+                   check_finiteness_relation, check_finiteness_space,
+                   explicit_family, family_subset, fmat_compose, fmat_dagger,
+                   perp, power_family, sparse_deviation)
 from .laws import LawCheckReport, catalog, check_law, run_trials
 from .matc import random_unitary
 from .morphisms import Model, Morphism, dagger, get_model, identity
@@ -285,7 +289,6 @@ for _axiom, _text in (
 
 
 def _random_family(rng, labels):
-    from .fmat import explicit_family
     subsets = []
     for _ in range(int(rng.integers(0, 4))):
         mask = rng.random(len(labels)) < 0.5
@@ -307,7 +310,6 @@ def _int_dense(rng, rows, cols):
 
 @_prop("FMAT-PERP-TRIPLE", "perp perp perp = perp", ("fmat",))
 def _(model, rng, tol):
-    from .fmat import FIN, FiniteIndex, OMEGA, TagFamily, perp
     labels = tuple(range(int(rng.integers(1, 6))))
     idx = FiniteIndex(labels)
     fam = _random_family(rng, labels)
@@ -324,8 +326,6 @@ def _(model, rng, tol):
 @_prop("FMAT-PERP-ANTITONE", "F1 <= F2 implies perp(F2) <= perp(F1)",
        ("fmat",))
 def _(model, rng, tol):
-    from .fmat import (ALL, FIN, FiniteIndex, OMEGA, TagFamily,
-                       explicit_family, family_subset, perp)
     labels = tuple(range(int(rng.integers(1, 6))))
     idx = FiniteIndex(labels)
     f1 = _random_family(rng, labels)
@@ -339,8 +339,6 @@ def _(model, rng, tol):
 
 @_prop("FMAT-SPACE", "perp pairs validate; non-pairs are rejected", ("fmat",))
 def _(model, rng, tol):
-    from .fmat import (ALL, FIN, FiniteIndex, OMEGA, TagFamily,
-                       check_finiteness_space, explicit_family, power_family)
     n = int(rng.integers(2, 5))
     idx = FiniteIndex(tuple(range(n)))
     power = power_family(idx)
@@ -355,7 +353,6 @@ def _(model, rng, tol):
 @_prop("FMAT-RELATION-TYPING",
        "supports of included matrices are finiteness relations", ("fmat",))
 def _(model, rng, tol):
-    from .fmat import check_finiteness_relation
     rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     f = model.include(Morphism(model.unitary_donor.name, Base(cols),
                                Base(rows), _masked_dense(rng, rows, cols)))
@@ -367,7 +364,6 @@ def _(model, rng, tol):
 @_prop("FMAT-COMPOSE-ASSOC",
        "sparse composition associates exactly", ("fmat",))
 def _(model, rng, tol):
-    from .fmat import fmat_compose
     dims = [int(rng.integers(1, 5)) for _ in range(4)]
     donor = model.unitary_donor.name
     mats = [model.include(Morphism(donor, Base(dims[i]), Base(dims[i + 1]),
@@ -377,10 +373,7 @@ def _(model, rng, tol):
                        mats[2].payload)
     rhs = fmat_compose(mats[0].payload,
                        fmat_compose(mats[1].payload, mats[2].payload))
-    la, ra = lhs.as_dict(), rhs.as_dict()
-    keys = set(la) | set(ra)
-    dev = max((abs(la.get(k, 0j) - ra.get(k, 0j)) for k in keys),
-              default=0.0)
+    dev = sparse_deviation(lhs, rhs)
     # integer entries make every float operation exact
     return (0.0 if dev == 0.0 and lhs.src == rhs.src and lhs.tgt == rhs.tgt
             else max(dev, 1.0)), None
@@ -389,7 +382,6 @@ def _(model, rng, tol):
 @_prop("FMAT-DAGGER-INV", "dagger of dagger is the identity on matrices",
        ("fmat",))
 def _(model, rng, tol):
-    from .fmat import fmat_dagger
     rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     f = model.include(Morphism(model.unitary_donor.name, Base(cols),
                                Base(rows), _masked_dense(rng, rows, cols)))

@@ -213,6 +213,13 @@ class TestEquivalence:
         assert not out["consistent"]
         assert out["witness"]["deviation"] > 1e-9
 
+    def test_oracle_separates_a_nan_body(self):
+        k = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
+        nan = make_kraus(np.full((4, 2), np.nan), 2, 2, 2)
+        out = equiv_testmap_oracle(nan, k, trials=3, rng=RNG)
+        assert not out["consistent"]
+        assert out["witness"]["trial"] == 0
+
     def test_oracle_zero_trials_vacuous(self):
         k1, k2 = cpinf.distinct_pair(MAT, RNG, Base(2), Base(2))
         assert equiv_testmap_oracle(k1, k2, trials=0, rng=RNG)["consistent"]

@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucinf.errors import (DimensionOverflow, SpaceMismatch, TypingError,
-                           UnsupportedInModel)
+from mucinf import fmat, suite
+from mucinf.errors import (ArityError, DimensionOverflow, SpaceMismatch,
+                           TypingError, UnsupportedInModel)
 from mucinf.fmat import (ALL, FIN, FMAT, MAX_EXPLICIT, ExplicitFamily,
                          FiniteIndex, OMEGA, OMEGA_ALL, OMEGA_FIN,
                          PowerFamily, SparseMatrix, TagFamily,
@@ -16,7 +19,10 @@ from mucinf.fmat import (ALL, FIN, FMAT, MAX_EXPLICIT, ExplicitFamily,
                          family_subset, finite_space, fmat_compose,
                          fmat_dagger, from_dense, include_mat, perp,
                          power_family, sparse_identity, to_dense)
-from mucinf.matc import ENTRY_LIMIT
+from mucinf.matc import ENTRY_LIMIT, MAT
+from mucinf.morphisms import Morphism
+from mucinf.objects import Base, Dagger, Par, Tensor
+from mucinf.structural import STRUCTURAL_NAMES, signature, structural
 from mutants import unclosed_family, unclosed_space
 
 label_sets = st.lists(st.integers(0, 5), min_size=1, max_size=5,
@@ -173,6 +179,16 @@ class TestSparse:
         again = fmat_dagger(d)
         assert again.entries == m.entries
         assert again.src == m.src and again.tgt == m.tgt
+
+    def test_non_finite_entries_are_refused(self):
+        # NaN fails the support test, so finiteness is checked before it
+        for bad in (np.nan, np.inf, complex(0, np.nan)):
+            with pytest.raises(TypingError):
+                include_mat(np.array([[bad, 1], [2, 3]]))
+        nan = Morphism("mat", Base(1), Base(1),
+                       np.full((1, 1), np.nan, dtype=complex))
+        with pytest.raises(TypingError):
+            FMAT.include(nan)
 
     def test_identity_on_omega_is_not_representable(self):
         with pytest.raises(UnsupportedInModel):
@@ -335,3 +351,75 @@ def test_dense_round_trips_are_size_guarded():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 23  # a 5000x5000 complex array is 400 MB
+
+
+def _arity(name):
+    for count in range(4):
+        try:
+            signature(name, [Base(1)] * count)
+            return count
+        except ArityError:
+            pass
+
+
+@pytest.mark.parametrize("name", STRUCTURAL_NAMES)
+def test_structural_maps_are_the_dense_models_bit_for_bit(name):
+    dims = [(1, 2, 3), (3, 1, 2), (2, 3, 3)]
+    for picked in dims:
+        args = [Base(d) for d in picked[:_arity(name)]]
+        dense = structural(MAT, name, args).payload
+        sparse = structural(FMAT, name,
+                            [FMAT.include_expr(a) for a in args]).payload
+        assert np.array_equal(to_dense(sparse), dense)
+
+
+def _looped_random_morphism(rng, dom, cod):
+    """The sampler as a double loop: source label outermost, real part
+    first."""
+    src, tgt = FMAT.interpret(dom), FMAT.interpret(cod)
+    return SparseMatrix(src, tgt, tuple(
+        (x, y, complex(rng.random(), rng.random()))
+        for x in src.index.labels for y in tgt.index.labels))
+
+
+def test_random_morphism_draws_as_the_double_loop():
+    shapes = [(Base(1), Base(1)), (Base(2), Base(3)), (Base(3), Base(1)),
+              (Tensor(Base(2), Base(3)), Par(Base(3), Dagger(Base(2))))]
+    drawn, looped = np.random.default_rng(8), np.random.default_rng(8)
+    for dom, cod in shapes:
+        dom, cod = FMAT.include_expr(dom), FMAT.include_expr(cod)
+        assert (FMAT.random_morphism(drawn, dom, cod).payload
+                == _looped_random_morphism(looped, dom, cod))
+    assert drawn.random() == looped.random()
+
+
+def test_random_morphism_is_size_guarded():
+    big = Base(finite_space(tuple(range(5000))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflow):
+            FMAT.random_morphism(np.random.default_rng(0), big, big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 23  # 25 M drawn entries would take 400 MB
+
+
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+def test_dense_matrices_come_from_matc():
+    # the finite fragment places the dense model's matrices on its labels
+    # rather than building its own, and suite imports fmat once
+    tree = _tree(fmat)
+    attributes = {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not (attributes | imported) & {"eye", "kron"}
+    assert not imported & {"commutation_perm", "bell_unit", "bell_counit"}
+    local = [node.lineno for fn in ast.walk(_tree(suite))
+             if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == []

@@ -1,5 +1,5 @@
 from mucinf.objects import (BOT, TOP, Base, Dagger, Dual, Par, Tensor, dag,
-                            dual, pretty)
+                            dual)
 
 
 def test_structural_equality_and_hash():
@@ -22,8 +22,3 @@ def test_no_quotienting_by_coherence():
     a, b, c = Base(1), Base(2), Base(3)
     assert Tensor(Tensor(a, b), c) != Tensor(a, Tensor(b, c))
     assert Dagger(Dagger(a)) != a
-
-
-def test_pretty_round_trips_shape():
-    expr = Dagger(Tensor(Base(2), Dual(Par(TOP, Base(3)))))
-    assert pretty(expr) == "(2 * (I + 3)*)^"
