@@ -192,9 +192,10 @@ class FinitenessSpace:
         return FinitenessSpace(self.index, self.fam_b, self.fam_a)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def finite_space(labels: Tuple) -> FinitenessSpace:
-    """The space (X, P(X), P(X)) on the label tuple X."""
+    """The space (X, P(X), P(X)) on the label tuple X.  Spaces compare by
+    value, so the bounded cache only saves rebuilding the recent ones."""
     index = FiniteIndex(labels)
     fam = power_family(index)
     return FinitenessSpace(index, fam, fam)

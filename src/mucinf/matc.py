@@ -23,6 +23,11 @@ Conventions
   operand itself (when that is a frozen payload), and the Kronecker product
   of two identities is the shared identity of the product, so the
   structural maps of the strict interpretation cost no matmul.
+* ``MatModel.then_tensor_payload`` (and ``then_par_payload``, the same
+  method) applies a product ``f * g`` after ``x`` as a reshaped matmul:
+  ``x``'s rows are split into ``f``'s and ``g``'s inputs, ``g`` and then
+  ``f`` act on their own axis, and a shared identity factor is skipped, so
+  the Kronecker product is never formed.
 * Size guards bound each side of a payload by ``DIM_LIMIT`` and its number
   of entries by ``ENTRY_LIMIT``, before anything is allocated.
 * The model has no fault switches: the suite's mutants are subclasses that
@@ -236,6 +241,7 @@ def choi(body: np.ndarray, ancilla_dim: int) -> ChoiMatrix:
     rows, a = body.shape
     b = rows // ancilla_dim
     w = body.reshape(ancilla_dim, b * a)
+    _check_size(a * b, a * b, "Choi matrix")
     c = w.T @ w.conj()
     # clip rounding asymmetry so the invariant holds exactly
     c = (c + c.conj().T) / 2.0
@@ -293,6 +299,26 @@ class MatModel(Model):
         return mat_kron(f.payload, g.payload)
 
     par_payload = tensor_payload
+
+    def then_tensor_payload(self, x: Morphism, f: Morphism,
+                            g: Morphism) -> np.ndarray:
+        # x's rows split as (fi, gi): apply g along gi, then f along fi,
+        # skipping a shared identity factor, and never form kron(f, g);
+        # rows that do not split reach the reshape and raise there
+        x, f, g = x.payload, f.payload, g.payload
+        (fo, fi), (go, gi), k = f.shape, g.shape, x.shape[1]
+        _check_size(fo * go, k, "product")
+        if _is_eye(f) and _is_eye(g) and x.shape[0] == fi * gi:
+            # as in compose, a writeable operand comes back as a copy
+            return x if _is_frozen(x) else _freeze(x.copy())
+        y = x.reshape(fi, gi, k)
+        if not _is_eye(g):
+            y = np.matmul(g, y)
+        if not _is_eye(f):
+            y = f @ y.reshape(fi, go * k)
+        return _freeze(y.reshape(fo * go, k))
+
+    then_par_payload = then_tensor_payload
 
     def dagger_payload(self, f: Morphism) -> np.ndarray:
         return mat_dagger(f.payload)

@@ -68,6 +68,16 @@ class Model:
     def par_payload(self, f: Morphism, g: Morphism) -> Any:
         raise NotImplementedError
 
+    def then_tensor_payload(self, x: Morphism, f: Morphism,
+                            g: Morphism) -> Any:
+        """Payload of ``x ; (f * g)``; a model may apply the two factors to
+        ``x`` without forming their product."""
+        return compose(x, tensor(f, g)).payload
+
+    def then_par_payload(self, x: Morphism, f: Morphism, g: Morphism) -> Any:
+        """Payload of ``x ; (f + g)``, as ``then_tensor_payload``."""
+        return compose(x, par(f, g)).payload
+
     def dagger_payload(self, f: Morphism) -> Any:
         raise NotImplementedError
 
@@ -196,6 +206,32 @@ def par(f: Morphism, g: Morphism) -> Morphism:
     m = get_model(f.model)
     return Morphism(f.model, Par(f.dom, g.dom), Par(f.cod, g.cod),
                     m.par_payload(f, g))
+
+
+def then_tensor(x: Morphism, f: Morphism, g: Morphism) -> Morphism:
+    """Diagram-order composite ``x ; (f * g)``."""
+    m = _followed_by(x, Tensor(f.dom, g.dom), f, g)
+    return Morphism(x.model, x.dom, Tensor(f.cod, g.cod),
+                    m.then_tensor_payload(x, f, g))
+
+
+def then_par(x: Morphism, f: Morphism, g: Morphism) -> Morphism:
+    """Diagram-order composite ``x ; (f + g)``."""
+    m = _followed_by(x, Par(f.dom, g.dom), f, g)
+    return Morphism(x.model, x.dom, Par(f.cod, g.cod),
+                    m.then_par_payload(x, f, g))
+
+
+def _followed_by(x: Morphism, dom: ObjectExpr, *factors: Morphism) -> Model:
+    """The model of ``x``, once a product of ``factors`` on ``dom`` may
+    follow it; checked as ``compose`` checks."""
+    for f in factors:
+        if f.model != x.model:
+            raise ModelMismatch(f"{x.model} vs {f.model}")
+    if x.cod != dom:
+        raise ShapeMismatch(
+            f"cannot compose: cod {x.cod!r} differs from dom {dom!r}")
+    return get_model(x.model)
 
 
 def dagger(f: Morphism) -> Morphism:

@@ -223,6 +223,18 @@ def test_fmat_check_refuses_a_long_member_before_closing_it(tmp_path,
     assert peak < 2 ** 20
 
 
+def test_channel_choi_refuses_an_oversized_choi_matrix(tmp_path, capsys):
+    # 5000 x 1 body, ancilla 1: its Choi matrix would be 5000 x 5000
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps({
+        "dom": 1, "cod": 5000, "ancilla": 1,
+        "body": {"rows": 5000, "cols": 1, "entries": [[1.0, 0.0]] * 5000}}))
+    code, out, err = run(capsys, "channel-choi", str(p))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: DimensionOverflow: Choi matrix 5000x5000")
+
+
 def test_usage_error_exit_two(capsys):
     code, _, err = run(capsys, "channel-choi", "no-such-file.json")
     assert code == 2 and "error:" in err

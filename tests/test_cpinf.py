@@ -1,11 +1,15 @@
 import ast
 import tracemalloc
+from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mucinf import cpinf, laws, suite
+from mucinf import cpinf, laws, matc, suite
 from mucinf.cpinf import (EnvStructure, canonical_env, channel,
                           channel_action, channel_deviation, env_check,
                           env_discard, env_factor, equiv_decide,
@@ -20,9 +24,11 @@ from mucinf.errors import (DomCodMismatch, NotPSD, TypingError,
                            UnsupportedInModel)
 from mucinf.fmat import to_dense
 from mucinf.matc import mat_identity, random_unitary
-from mucinf.morphisms import (Model, Morphism, get_model, register_model,
-                              unregister_model)
-from mucinf.objects import BOT, Base, Par, Tensor
+from mucinf.morphisms import (Model, Morphism, dagger, get_model, identity,
+                              par, register_model, tensor, unregister_model)
+from mucinf.objects import BOT, Base, Dagger, Par, Tensor
+from mucinf.structural import structural
+from mutants import MUTANTS, SkewLaxor, registered
 
 MAT = get_model("mat")
 RNG = np.random.default_rng(31415)
@@ -31,6 +37,30 @@ RNG = np.random.default_rng(31415)
 def make_kraus(body, a, b, u, model="mat"):
     return kraus_new(Morphism(model, Base(a), Par(Base(u), Base(b)),
                               np.asarray(body, dtype=complex)), Base(u))
+
+
+def reference_side(k, h, c_expr, x_expr):
+    """One side of the test-map equation, composed literally: the oracle's
+    wiring must agree with this chain."""
+    m = get_model(k.model)
+    u, a, b, f = k.ancilla, k.dom, k.cod, k.body
+    return (
+        tensor(f, identity(m, c_expr))
+        >> structural(m, "dr", [u, b, c_expr])
+        >> par(identity(m, u), h)
+        >> structural(m, "mx_inv", [u, x_expr])
+        >> tensor(structural(m, "phi", [u]), structural(m, "phi", [x_expr]))
+        >> tensor(structural(m, "rho", [u]), structural(m, "rho", [x_expr]))
+        >> tensor(identity(m, Dagger(u)),
+                  dagger(h) >> structural(m, "lam_par_inv", [b, c_expr]))
+        >> structural(m, "dl", [Dagger(u), Dagger(b), Dagger(c_expr)])
+        >> par(structural(m, "lam_tensor", [u, b]),
+               identity(m, Dagger(c_expr)))
+        >> par(dagger(f), identity(m, Dagger(c_expr)))
+        >> structural(m, "lam_par", [a, c_expr]))
+
+
+MAT_MODELS = (MAT, *(model for model in MUTANTS if model.base == "mat"))
 
 
 def cp_kraus(c, r, cp):
@@ -240,16 +270,85 @@ class TestEquivalence:
     def test_testmap_chain_reduces_to_closed_form(self):
         # with every structural map an identity matrix, the glued wiring
         # must collapse to (f x 1)^ (1 x h^h) (f x 1)
-        from mucinf.cpinf import _testmap_side
         for _ in range(10):
             a, b, u, c, x = (int(RNG.integers(1, 4)) for _ in range(5))
             k = random_channel(MAT, RNG, Base(a), Base(b), Base(u))
             h = MAT.random_morphism(RNG, Tensor(Base(b), Base(c)), Base(x))
-            chain = _testmap_side(k, h, Base(c), Base(x)).payload
+            chain = reference_side(k, h, Base(c), Base(x)).payload
             fx = np.kron(k.body.payload, np.eye(c))
             closed = fx.conj().T @ np.kron(np.eye(u),
                                            h.payload.conj().T @ h.payload) @ fx
             assert np.max(np.abs(chain - closed)) <= 1e-12
+
+    @pytest.mark.parametrize("model", MAT_MODELS, ids=lambda m: m.name)
+    @settings(max_examples=25, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 4)] * 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_oracle_side_is_the_literal_chain(self, model, dims, seed):
+        # the wiring built once per (c, x), with h glued in, is the chain
+        rng = np.random.default_rng(seed)
+        a, b, u, c, x = dims
+        c_expr, x_expr = Base(c), Base(x)
+        with registered(model) if model is not MAT else nullcontext():
+            k = random_channel(model, rng, Base(a), Base(b), Base(u))
+            h = model.random_morphism(rng, Tensor(Base(b), c_expr), x_expr)
+            ref = reference_side(k, h, c_expr, x_expr)
+            side = cpinf._testmap_side(
+                cpinf._testmap_wiring(k, c_expr, x_expr), h)
+        assert (side.dom, side.cod) == (ref.dom, ref.cod)
+        scale = max(1.0, float(np.max(np.abs(ref.payload))))
+        assert np.max(np.abs(side.payload - ref.payload)) <= 1e-12 * scale
+
+    def test_oracle_separates_a_padded_ancilla_under_skew_laxor(self):
+        # the skewed laxor scales each side by its ancilla's dimension, so
+        # an equivalent pair with a padded ancilla no longer glues equally
+        with registered(SkewLaxor("mat!skew-laxor-oracle")) as model:
+            k = random_channel(model, RNG, Base(2), Base(2), Base(2))
+            iso = random_unitary(RNG, 3)[:, :2]
+            body = Morphism(model.name, k.dom, Par(Base(3), k.cod),
+                            np.kron(iso, np.eye(2)) @ k.body.payload)
+            padded = kraus_new(body, Base(3))
+            assert equiv_decide(k, padded)
+            out = equiv_testmap_oracle(k, padded, trials=20, rng=RNG)
+        assert not out["consistent"]
+
+    def test_oracle_builds_its_wiring_once_per_dimension_pair(
+            self, monkeypatch):
+        k = random_channel(MAT, RNG, Base(8), Base(8), Base(8))
+        v = equivalent_variant(RNG, k)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(matc, "mat_kron", counted("kron", matc.mat_kron))
+        monkeypatch.setattr(cpinf, "structural",
+                            counted("structural", cpinf.structural))
+        counts = []
+        for trials in (20, 200):
+            calls.clear()
+            out = equiv_testmap_oracle(k, v, trials=trials, seed=3,
+                                       c_dims=(8,), x_dims=(1, 2))
+            assert out["consistent"]
+            counts.append((calls["kron"], calls["structural"]))
+        # ten structural maps per side, two sides, two (c, x) pairs
+        assert counts == [(0, 40), (0, 40)]
+
+    def test_oracle_leaves_the_factoring_to_the_model(self):
+        # the oracle states products; how to apply one is the model's
+        oracle = {"equiv_testmap_oracle", "_testmap_wiring", "_testmap_side"}
+        tree = ast.parse(Path(cpinf.__file__).read_text())
+        funcs = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in oracle]
+        assert {fn.name for fn in funcs} == oracle
+        names = {node.id for fn in funcs for node in ast.walk(fn)
+                 if isinstance(node, ast.Name)}
+        names |= {node.attr for fn in funcs for node in ast.walk(fn)
+                  if isinstance(node, ast.Attribute)}
+        assert not names & {"mat_kron", "kron", "_is_eye", "tensor", "par"}
 
     def test_non_unitary_ancilla_mixing_breaks_equivalence(self):
         k = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
@@ -465,6 +564,22 @@ class TestInitiality:
     def test_zero_samples_vacuous(self):
         env = canonical_env()
         assert initiality_probe(env, env, samples=0)["consistent"]
+
+    def test_compares_at_the_tolerance_it_reports(self):
+        # a discard off by a relative 1e-6 passes a loose probe only
+        def scaled(u_expr):
+            honest = env_discard("mat", u_expr)
+            body = Morphism("mat", honest.body.dom, honest.body.cod,
+                            (1 + 1e-6) * honest.body.payload)
+            return kraus_new(body, honest.ancilla)
+
+        tgt = EnvStructure("mat", functor_Q, scaled, "scaled-discard")
+        loose = initiality_probe(canonical_env(), tgt, samples=5, seed=0,
+                                 tol=1e-4)
+        assert loose["consistent"] and loose["tol"] == 1e-4
+        strict = initiality_probe(canonical_env(), tgt, samples=5, seed=0,
+                                  tol=1e-7)
+        assert not strict["consistent"] and strict["tol"] == 1e-7
 
 
 class TestFmatChannels:

@@ -259,6 +259,14 @@ class TestPowerFamily:
         assert not check_finiteness_relation([(0, 40)], space, space)
         assert not check_finiteness_relation([(40, 0)], space, space)
 
+    def test_space_cache_is_bounded_and_compares_by_value(self):
+        first = finite_space((0, 1, 2))
+        for n in range(1, 401):
+            finite_space(tuple(range(n)))
+        assert finite_space.cache_info().currsize <= 128
+        # evicted and rebuilt, the space is equal though not the same
+        assert finite_space((0, 1, 2)) == first
+
     def test_an_unclosed_target_is_checked_member_by_member(self):
         # as in fmat!no-closure: the image of the empty member, not only
         # that of X, must lie in the target {{0}}

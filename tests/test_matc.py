@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from mucinf.errors import DimensionOverflow, NotHermitian, ShapeMismatch
 from mucinf.matc import (DIM_LIMIT, ENTRY_LIMIT, MAT, _freeze,
                          apply_channel, bell_counit, bell_unit,
-                         check_hermitian, commutation_perm, hermitian_eig,
-                         mat_dagger,
+                         check_hermitian, choi, commutation_perm,
+                         hermitian_eig, mat_dagger,
                          mat_identity, mat_kron, random_unitary)
-from mucinf.morphisms import Morphism
-from mucinf.objects import Base
+from mucinf.morphisms import Model, Morphism, identity
+from mucinf.objects import Base, Par, Tensor
 
 RNG = np.random.default_rng(20240811)
 
@@ -183,6 +183,43 @@ def test_kron_is_np_kron_bit_for_bit(fshape, gshape, f_eye, g_eye):
     assert not out.flags.writeable
 
 
+@pytest.mark.parametrize("product", [Tensor, Par], ids=["tensor", "par"])
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 4)] * 5),
+       eyes=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       frozen=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_then_product_is_the_default_composite(product, dims, eyes, frozen,
+                                               seed):
+    # x ; (f * g) by reshaped matmuls, with or without shared identities
+    rng = np.random.default_rng(seed)
+    fi, fo, gi, go, k = dims
+    f_eye, g_eye, x_eye = eyes
+    f = (identity(MAT, Base(fi)) if f_eye
+         else MAT.random_morphism(rng, Base(fi), Base(fo)))
+    g = (identity(MAT, Base(gi)) if g_eye
+         else MAT.random_morphism(rng, Base(gi), Base(go)))
+    mid = product(Base(fi), Base(gi))
+    x = (identity(MAT, mid) if x_eye
+         else MAT.random_morphism(rng, Base(k), mid))
+    if not frozen:
+        x = Morphism("mat", x.dom, x.cod, np.array(x.payload))
+    name = f"then_{product.__name__.lower()}_payload"
+    out = getattr(MAT, name)(x, f, g)
+    want = getattr(Model, name)(MAT, x, f, g)
+    assert out.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(out - want)) <= 1e-12 * scale
+    assert not out.flags.writeable
+    assert frozen or not np.shares_memory(out, x.payload)
+
+
+def test_then_product_rows_must_split():
+    f, g = identity(MAT, Base(2)), identity(MAT, Base(3))
+    x = MAT.random_morphism(RNG, Base(1), Base(5))
+    with pytest.raises(ValueError):
+        MAT.then_tensor_payload(x, f, g)
+
+
 class TestSizeGuard:
     def test_entries_bounded_before_allocation(self):
         # each side is within DIM_LIMIT; the entries are not
@@ -203,6 +240,18 @@ class TestSizeGuard:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_choi_bounded_before_allocation(self):
+        # a 5000 x 1 body with ancilla 1 would glue to a 5000 x 5000 matrix
+        body = _freeze(np.ones((5000, 1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverflow):
+                choi(body, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_largest_workload_payload_fits(self):
         assert mat_identity(512).shape == (512, 512)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from mucinf.errors import ModelMismatch, ShapeMismatch
 from mucinf.morphisms import (Morphism, compose, dagger, deviation,
-                              equal_up_to, get_model, identity, par, tensor)
+                              equal_up_to, get_model, identity, par, tensor,
+                              then_par, then_tensor)
 from mucinf.objects import Base, Dagger, Par, Tensor
 from mucinf.structural import structural
 
@@ -21,6 +22,22 @@ def test_compose_identity_laws():
     f = rand_mat(2, 3)
     assert equal_up_to(compose(identity(MAT, f.dom), f), f, 0.0)
     assert equal_up_to(compose(f, identity(MAT, f.cod)), f, 0.0)
+
+
+def test_then_product_types_like_the_composite():
+    x, f, g = rand_mat(2, 6), rand_mat(2, 1), rand_mat(3, 2)
+    for then, product in ((then_tensor, tensor), (then_par, par)):
+        mid = Morphism("mat", x.dom, product(f, g).dom, x.payload)
+        out, want = then(mid, f, g), compose(mid, product(f, g))
+        assert (out.dom, out.cod) == (want.dom, want.cod)
+        assert equal_up_to(out, want, 1e-12)
+        with pytest.raises(ShapeMismatch):
+            then(mid, g, f)  # cod (2, 3) vs dom (3, 2)
+        with pytest.raises(ShapeMismatch):
+            then(x, f, g)  # cod Base(6) is not a product
+    h = Morphism("cplane", Base(1 + 0j), Base(1 + 0j), None)
+    with pytest.raises(ModelMismatch):
+        then_tensor(x, f, h)
 
 
 def test_scalar_composition():
