@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import cpinf, jsonio
 from .errors import MucinfError
 from .suite import SuiteConfig, list_laws, run_suite
@@ -96,6 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# an overflow yields a non-finite result, which the commands refuse, rather
+# than numpy warnings; scoped to the call, as callers may run main in-process
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

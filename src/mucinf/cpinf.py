@@ -27,6 +27,7 @@ import numpy as np
 
 from . import matc
 from .errors import (DomCodMismatch, NotPSD, TypingError, UnsupportedInModel)
+from .laws import run_trials
 from .matc import ChoiMatrix
 from .morphisms import (Model, Morphism, dagger, get_model, identity, par,
                         tensor, then_par, then_tensor)
@@ -65,10 +66,7 @@ def kraus_new(f: Morphism, ancilla: ObjectExpr) -> KrausMorphism:
 
 def kraus_identity(model: Model | str, a: ObjectExpr) -> KrausMorphism:
     """The identity channel, with the par unit as ancilla."""
-    m = get_model(model) if isinstance(model, str) else model
-    body = (structural(m, "u_par_l_inv", [a])
-            >> par(structural(m, "n_bot_inv", []), identity(m, a)))
-    return kraus_new(body, body.cod.left)
+    return functor_Q(identity(model, a))
 
 
 def kraus_compose(k1: KrausMorphism, k2: KrausMorphism) -> KrausMorphism:
@@ -307,7 +305,7 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
         w1, w2 = wiring[key]
         lhs = _testmap_side(w1, h)
         rhs = _testmap_side(w2, h2)
-        dev = float(np.max(np.abs(lhs.payload - rhs.payload), initial=0.0))
+        dev = m.deviation(lhs, rhs)
         # phrased so that NaN, which fails every comparison, separates
         if not dev <= tol:
             return {"consistent": False, "trials": trials,
@@ -440,59 +438,64 @@ def env_factor(structure: EnvStructure, k: KrausMorphism) -> KrausMorphism:
     return kraus_compose(kraus_compose(pure, dis), unit)
 
 
-ENV_AXIOMS = ("Env.1a", "Env.1b", "Env.2", "Env.3")
-
-
-def env_axiom_trial(structure: EnvStructure, axiom: str, rng,
-                    tol: float = 1e-9):
-    """One randomised instance of an environment axiom.
-
-    Returns (deviation, witness-info); deviation 0 means the instance holds.
-    """
+def _discards_glued(structure: EnvStructure, rng, comparison: str):
+    """Two unitary objects ``u, v``, and Env.1's left side: the comparison
+    map on them, the par of their discards, then the unit glue."""
     m = _dense(structure.model)
+    u_expr, v_expr = m.random_chain(rng, 1, unitary=True)
+    pair = kraus_par(structure.discard(u_expr), structure.discard(v_expr))
+    lhs = kraus_compose(kraus_compose(
+        structure.functor(structural(m, comparison, [u_expr, v_expr])),
+        pair), structure.functor(structural(m, "u_par_l", [BOT])))
+    return m, u_expr, v_expr, lhs
 
-    if axiom in ("Env.1a", "Env.1b"):
-        u_expr, v_expr = m.random_chain(rng, 1, unitary=True)
-        unit_glue = structure.functor(structural(m, "u_par_l", [BOT]))
-        pair = kraus_par(structure.discard(u_expr), structure.discard(v_expr))
-        if axiom == "Env.1a":
-            # discarding a tensor = tensor of discards, glued by the unit
-            lhs = kraus_compose(kraus_compose(
-                structure.functor(structural(m, "mx", [u_expr, v_expr])),
-                pair), unit_glue)
-            rhs = kraus_compose(
-                structure.functor(
-                    structural(m, "m_tensor", [u_expr, v_expr])),
-                structure.discard(Tensor(u_expr, v_expr)))
-        else:
-            lhs = kraus_compose(kraus_compose(
-                structure.functor(structural(m, "n_par", [u_expr, v_expr])),
-                pair), unit_glue)
-            rhs = structure.discard(Par(u_expr, v_expr))
-        return (channel_deviation(lhs, rhs),
-                {"u": u_expr.label, "v": v_expr.label})
 
-    if axiom == "Env.2":
-        # the discard equation holds iff the representatives are equivalent
-        k1 = random_channel(m, rng)
-        if rng.random() < 0.5:
-            k2 = equivalent_variant(rng, k1)
-            expected = True
-        else:
-            k2 = random_channel(m, rng, k1.dom, k1.cod)
-            expected = equiv_decide(k1, k2, tol)
-        sides_equal = equiv_decide(env_factor(structure, k1),
-                                   env_factor(structure, k2), tol)
-        return (0.0 if sides_equal == expected else 1.0,
-                {"expected": expected})
+def _env_tensor(structure: EnvStructure, rng, tol: float):
+    # discarding a tensor = tensor of discards, glued by the unit
+    m, u_expr, v_expr, lhs = _discards_glued(structure, rng, "mx")
+    rhs = kraus_compose(
+        structure.functor(structural(m, "m_tensor", [u_expr, v_expr])),
+        structure.discard(Tensor(u_expr, v_expr)))
+    return channel_deviation(lhs, rhs), {"u": u_expr.label, "v": v_expr.label}
 
-    if axiom == "Env.3":
-        # purification: every channel factors as a pure map then discard
-        k = random_channel(m, rng)
-        rebuilt = env_factor(structure, purify(to_choi(k), m.name))
-        return channel_deviation(rebuilt, k), None
 
-    raise UnsupportedInModel(f"unknown environment axiom {axiom!r}")
+def _env_par(structure: EnvStructure, rng, tol: float):
+    _, u_expr, v_expr, lhs = _discards_glued(structure, rng, "n_par")
+    rhs = structure.discard(Par(u_expr, v_expr))
+    return channel_deviation(lhs, rhs), {"u": u_expr.label, "v": v_expr.label}
+
+
+def _env_decides(structure: EnvStructure, rng, tol: float):
+    # the discard equation holds iff the representatives are equivalent
+    m = _dense(structure.model)
+    k1 = random_channel(m, rng)
+    if rng.random() < 0.5:
+        k2 = equivalent_variant(rng, k1)
+        expected = True
+    else:
+        k2 = random_channel(m, rng, k1.dom, k1.cod)
+        expected = equiv_decide(k1, k2, tol)
+    sides_equal = equiv_decide(env_factor(structure, k1),
+                               env_factor(structure, k2), tol)
+    return 0.0 if sides_equal == expected else 1.0, {"expected": expected}
+
+
+def _env_purifies(structure: EnvStructure, rng, tol: float):
+    # purification: every channel factors as a pure map then discard
+    m = _dense(structure.model)
+    k = random_channel(m, rng)
+    rebuilt = env_factor(structure, purify(to_choi(k), m.name))
+    return channel_deviation(rebuilt, k), None
+
+
+# each environment axiom: its anchor, and one randomised instance as a
+# trial ``(structure, rng, tol) -> (deviation, info)``
+ENV_AXIOMS = {
+    "Env.1a": ("discard of a tensor = glued tensor of discards", _env_tensor),
+    "Env.1b": ("discard of a par = glued par of discards", _env_par),
+    "Env.2": ("the discard equation decides equivalence", _env_decides),
+    "Env.3": ("every channel purifies through the discard", _env_purifies),
+}
 
 
 def env_check(structure: EnvStructure, trials: int = 20,
@@ -501,14 +504,12 @@ def env_check(structure: EnvStructure, trials: int = 20,
 
     Returns one LawCheckReport per axiom; zero trials pass vacuously.
     """
-    from .laws import run_trials
-
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
     return [run_trials(axiom, structure.model,
-                       partial(env_axiom_trial, structure, axiom, tol=tol),
+                       partial(trial, structure, tol=tol),
                        trials, rng, tol, seed)
-            for axiom in ENV_AXIOMS]
+            for axiom, (_, trial) in ENV_AXIOMS.items()]
 
 
 def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
@@ -531,31 +532,22 @@ def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
     for i in range(max(0, samples)):
         k1 = random_channel(m, rng)
         k1_alt = equivalent_variant(rng, k1)
-        if equiv_decide(transport(k1), transport(k1_alt), tol):
-            checks["well_defined"] += 1
-        else:
-            failures.append({"check": "well_defined", "sample": i})
-
         k2 = random_channel(m, rng, k1.cod)
-        lhs = transport(kraus_compose(k1, k2))
-        rhs = kraus_compose(transport(k1), transport(k2))
-        if equiv_decide(lhs, rhs, tol):
-            checks["functorial"] += 1
-        else:
-            failures.append({"check": "functorial", "sample": i})
-
         (a,) = m.random_chain(rng, 0)
-        if equiv_decide(transport(kraus_identity(m, a)),
-                        kraus_identity(m, a), tol):
-            checks["identity"] += 1
-        else:
-            failures.append({"check": "identity", "sample": i})
-
         (u,) = m.random_chain(rng, 0, unitary=True)
-        if equiv_decide(transport(src.discard(u)), tgt.discard(u), tol):
-            checks["discard"] += 1
-        else:
-            failures.append({"check": "discard", "sample": i})
+        sides = {
+            "well_defined": (transport(k1), transport(k1_alt)),
+            "functorial": (transport(kraus_compose(k1, k2)),
+                           kraus_compose(transport(k1), transport(k2))),
+            "identity": (transport(kraus_identity(m, a)),
+                         kraus_identity(m, a)),
+            "discard": (transport(src.discard(u)), tgt.discard(u)),
+        }
+        for check, (lhs, rhs) in sides.items():
+            if equiv_decide(lhs, rhs, tol):
+                checks[check] += 1
+            else:
+                failures.append({"check": check, "sample": i})
 
     return {"samples": samples, "checks": checks,
             "consistent": not failures, "failures": failures[:5],

@@ -43,7 +43,7 @@ class SpaceMismatch(MucinfError):
 
 class DimensionOverflow(MucinfError):
     """An operation would produce a payload beyond desk scale: a side over
-    2**16 or more than 2**24 entries."""
+    2**16, more than 2**24 entries, or entries beyond the float range."""
 
 
 class UnknownModel(MucinfError):

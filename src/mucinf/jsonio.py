@@ -14,7 +14,8 @@ Schemas:
 
 Readers check the type of every document and field they read: a document
 or field of the wrong JSON type, a dimension that is not an integer, or a
-non-finite number raises ``TypingError``.
+non-finite number raises ``TypingError``.  The matrix writer refuses a
+non-finite entry the same way.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ def _dim(d: dict, key: str) -> int:
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
+    # JSON has no inf or NaN, so the writer refuses what the reader would
+    if not np.isfinite(m).all():
+        raise TypingError("non-finite number in matrix to write")
     rows, cols = m.shape
     entries = [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
     return {"rows": int(rows), "cols": int(cols), "entries": entries}

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (ArityError, MucinfError, UnknownLaw,
                      UnsupportedInModel)
-from .morphisms import (Model, Morphism, dagger, get_model, identity, par,
-                        tensor)
+from .morphisms import (Model, Morphism, dagger, deviation, get_model,
+                        identity, par, tensor)
 from .objects import BOT, TOP, Dagger, Dual, ObjectExpr, Par, Tensor
 from .structural import structural
 
@@ -577,15 +577,14 @@ def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
 
 def check_law(law_id: str, model: Model | str, objects=None, rng=None,
               tol: float = 1e-9, seed: Optional[int] = None) -> LawCheckReport:
-    """Build both sides of a law once and compare them.
+    """Build both sides of a law once and compare them, as one trial of
+    ``run_trials``.
 
     ``objects`` may be omitted, in which case they are sampled from the
     model.  Raises UnsupportedInModel when the law is not available in the
-    model; every other failure to build or match is reported as a failed
-    check with a witness.
+    model; every failure to build or match is reported as a failed check
+    with a witness.
     """
-    from .morphisms import deviation as _dev  # local to avoid cycle noise
-
     law = get_law(law_id)
     m = get_model(model) if isinstance(model, str) else model
     if m.base not in law.models:
@@ -597,26 +596,15 @@ def check_law(law_id: str, model: Model | str, objects=None, rng=None,
                    for _ in range(law.arity)]
     if len(objects) != law.arity:
         raise ArityError(f"law {law_id} takes {law.arity} objects")
-    ctx = LawContext(m, list(objects), rng)
-    witness = None
-    try:
-        pairs = law.build(ctx)
+
+    def trial(rng):
         dev = 0.0
-        for lhs, rhs in pairs:
+        for lhs, rhs in law.build(LawContext(m, list(objects), rng)):
             if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
                 raise MucinfError(
                     f"sides of {law_id} are not parallel: "
                     f"{lhs.dom}->{lhs.cod} vs {rhs.dom}->{rhs.cod}")
-            dev = fold_deviation(dev, _dev(lhs, rhs))
-    except UnsupportedInModel:
-        raise
-    except MucinfError as exc:
-        dev = math.inf
-        witness = {"error": f"{type(exc).__name__}: {exc}"}
-    passed = dev <= tol
-    if not passed and witness is None:
-        witness = {"objects": [repr(o) for o in objects],
-                   "deviation": dev}
-    return LawCheckReport(law=law_id, model=m.name, trials=1,
-                          max_abs_deviation=dev, passed=passed,
-                          witness=witness, seed=seed, tol=tol)
+            dev = fold_deviation(dev, deviation(lhs, rhs))
+        return dev, {"objects": [repr(o) for o in objects], "deviation": dev}
+
+    return run_trials(law_id, m.name, trial, 1, rng, tol, seed)

@@ -159,11 +159,21 @@ def structural_matrix(name, args, dom, cod, size) -> np.ndarray:
     return mat_identity(din)
 
 
+def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest entrywise distance between two arrays; 0.0 when they
+    are empty."""
+    diff = a - b
+    # in place: while this runs, the caller may still hold a temporary
+    # operand (``h.conj().T`` in ``check_hermitian``), and a fresh array
+    # of moduli would add to the peak
+    return float(np.max(np.abs(diff, out=diff).real, initial=0.0))
+
+
 def check_hermitian(h: np.ndarray, tol: float = 1e-9) -> None:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {h.shape}")
     # phrased so that NaN, which fails every comparison, is rejected
-    if not np.max(np.abs(h - h.conj().T), initial=0.0) <= tol:
+    if not max_abs_diff(h, h.conj().T) <= tol:
         raise NotHermitian(f"matrix is not Hermitian within {tol}")
 
 
@@ -229,7 +239,7 @@ class ChoiMatrix:
         if dims != (other.dim_in, other.dim_out):
             raise DomCodMismatch(f"channel types differ: {dims} vs "
                                  f"{(other.dim_in, other.dim_out)}")
-        return float(np.max(np.abs(self.matrix - other.matrix), initial=0.0))
+        return max_abs_diff(self.matrix, other.matrix)
 
     def equiv(self, other: "ChoiMatrix", tol: float = 1e-9) -> bool:
         return self.deviation(other) <= tol
@@ -237,12 +247,18 @@ class ChoiMatrix:
 
 def choi(body: np.ndarray, ancilla_dim: int) -> ChoiMatrix:
     """Glue a Kraus body ``(u*b) x a`` (ancilla wire first) to its dagger
-    along the ancilla."""
+    along the ancilla.  A finite body whose Choi matrix overflows raises
+    ``DimensionOverflow``."""
     rows, a = body.shape
     b = rows // ancilla_dim
     w = body.reshape(ancilla_dim, b * a)
     _check_size(a * b, a * b, "Choi matrix")
     c = w.T @ w.conj()
+    # a NaN body is not an overflow; the Hermitian check below rejects it
+    if not np.isfinite(c).all() and np.isfinite(w).all():
+        raise DimensionOverflow(
+            f"Choi matrix overflows: body entries reach "
+            f"{np.max(np.abs(w)):.3g}")
     # clip rounding asymmetry so the invariant holds exactly
     c = (c + c.conj().T) / 2.0
     return ChoiMatrix(c, a, b)
@@ -327,7 +343,7 @@ class MatModel(Model):
         return structural_matrix(name, args, dom, cod, self.interpret)
 
     def deviation(self, f: Morphism, g: Morphism) -> float:
-        return float(np.max(np.abs(f.payload - g.payload), initial=0.0))
+        return max_abs_diff(f.payload, g.payload)
 
     # channels ----------------------------------------------------------------
     def check_payload(self, f: Morphism) -> None:

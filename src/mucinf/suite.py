@@ -21,8 +21,9 @@ from .fmat import (ALL, FIN, OMEGA, FiniteIndex, TagFamily,
                    check_finiteness_relation, check_finiteness_space,
                    explicit_family, family_subset, fmat_compose, fmat_dagger,
                    perp, power_family, sparse_deviation)
-from .laws import LawCheckReport, catalog, check_law, run_trials
-from .matc import random_unitary
+from .laws import (LawCheckReport, catalog, check_law, fold_deviation,
+                   run_trials)
+from .matc import max_abs_diff, random_unitary
 from .morphisms import Model, Morphism, dagger, get_model, identity
 from .objects import Base, Par, Tensor
 from .structural import structural
@@ -86,8 +87,8 @@ def _(model, rng, tol):
     k = cpinf.random_channel(model, rng)
     left = cpinf.kraus_compose(cpinf.kraus_identity(model, k.dom), k)
     right = cpinf.kraus_compose(k, cpinf.kraus_identity(model, k.cod))
-    return max(cpinf.channel_deviation(left, k),
-               cpinf.channel_deviation(right, k)), None
+    return fold_deviation(cpinf.channel_deviation(left, k),
+                          cpinf.channel_deviation(right, k)), None
 
 
 @_prop("CP-WELLDEF", "k1 ~ k1' implies k0 k1 ~ k0 k1' and k1 k2 ~ k1' k2")
@@ -100,7 +101,7 @@ def _(model, rng, tol):
                                    cpinf.kraus_compose(k1_alt, k2))
     pre = cpinf.channel_deviation(cpinf.kraus_compose(k0, k1),
                                   cpinf.kraus_compose(k0, k1_alt))
-    return max(post, pre), None
+    return fold_deviation(post, pre), None
 
 
 @_prop("CP-EQUIV-ORACLE",
@@ -137,7 +138,7 @@ def _action_entry(product: str):
                                      np.kron(r1, r2))
         split = np.kron(cpinf.channel_action(k1, r1),
                         cpinf.channel_action(k2, r2))
-        return float(np.max(np.abs(joint - split), initial=0.0)), None
+        return max_abs_diff(joint, split), None
     return trial
 
 
@@ -182,7 +183,7 @@ def _(model, rng, tol):
     dev2 = cpinf.channel_deviation(
         cpinf.kraus_compose(bwd, fwd),
         cpinf.kraus_identity(model, Par(a, b)))
-    return max(dev1, dev2), None
+    return fold_deviation(dev1, dev2), None
 
 
 @_prop("CP-DAG-INV", "(k dagger) dagger ~ k")
@@ -212,7 +213,7 @@ def _(model, rng, tol):
     # (in, out) double indices of k become (out, in) ones of its adjoint
     swapped = c.reshape(b, a, b, a).transpose(1, 0, 3, 2).reshape(
         a * b, a * b).conj()
-    return float(np.max(np.abs(direct - swapped), initial=0.0)), None
+    return max_abs_diff(direct, swapped), None
 
 
 @_prop("CP-Q-FUNCTOR", "Q(f g) ~ Q(f) Q(g) and Q(1) ~ 1", ("mat", "cplane"))
@@ -226,7 +227,7 @@ def _(model, rng, tol):
     ident = cpinf.channel_deviation(
         cpinf.functor_Q(identity(model, f.dom)),
         cpinf.kraus_identity(model, f.dom))
-    return max(comp, ident), None
+    return fold_deviation(comp, ident), None
 
 
 @_prop("CP-N-DAGGER", "N(f dagger) ~ N(f) dagger")
@@ -259,7 +260,7 @@ def _(model, rng, tol):
     for blk in cpinf.pure_decomposition(k):
         total += blk @ rho @ blk.conj().T
     acted = cpinf.channel_action(k, rho)
-    return float(np.max(np.abs(total - acted), initial=0.0)), None
+    return max_abs_diff(total, acted), None
 
 
 @_prop("CP-PURIFY-ROUNDTRIP", "purify(choi(k)) ~ k")
@@ -269,19 +270,9 @@ def _(model, rng, tol):
         cpinf.purify(cpinf.to_choi(k), model.name), k), None
 
 
-def _env_entry(axiom):
-    def trial(model, rng, tol):
-        structure = cpinf.canonical_env(model.name)
-        return cpinf.env_axiom_trial(structure, axiom, rng, tol)
-    return trial
-
-
-for _axiom, _text in (
-        ("Env.1a", "discard of a tensor = glued tensor of discards"),
-        ("Env.1b", "discard of a par = glued par of discards"),
-        ("Env.2", "the discard equation decides equivalence"),
-        ("Env.3", "every channel purifies through the discard")):
-    _prop(_axiom, _text)(_env_entry(_axiom))
+for _axiom, (_text, _trial) in cpinf.ENV_AXIOMS.items():
+    _prop(_axiom, _text)(lambda model, rng, tol, trial=_trial:
+                         trial(cpinf.canonical_env(model.name), rng, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +367,7 @@ def _(model, rng, tol):
     dev = sparse_deviation(lhs, rhs)
     # integer entries make every float operation exact
     return (0.0 if dev == 0.0 and lhs.src == rhs.src and lhs.tgt == rhs.tgt
-            else max(dev, 1.0)), None
+            else fold_deviation(1.0, dev)), None
 
 
 @_prop("FMAT-DAGGER-INV", "dagger of dagger is the identity on matrices",
@@ -401,7 +392,7 @@ def _(model, rng, tol):
     comp = model.deviation(model.include(f >> g),
                            model.include(f) >> model.include(g))
     dag = model.deviation(model.include(dagger(f)), dagger(model.include(f)))
-    return max(comp, dag), None
+    return fold_deviation(comp, dag), None
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,27 @@ def test_channel_choi_refuses_an_oversized_choi_matrix(tmp_path, capsys):
     assert err.startswith("error: DimensionOverflow: Choi matrix 5000x5000")
 
 
+@pytest.mark.parametrize("command", [["channel-choi", "k"],
+                                     ["channel-equiv", "k", "k"],
+                                     ["channel-compose", "k", "k"],
+                                     ["channel-apply", "k", "rho"]])
+def test_an_overflowing_channel_exits_two(tmp_path, capsys, command):
+    # finite entries whose products overflow: no numpy warnings, no
+    # Infinity or NaN on stdout
+    (tmp_path / "k").write_text(json.dumps({
+        "dom": 1, "cod": 1, "ancilla": 1,
+        "body": {"rows": 1, "cols": 1, "entries": [[1e308, 1e308]]}}))
+    (tmp_path / "rho").write_text(json.dumps(
+        {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}))
+    code, out, err = run(capsys, command[0],
+                         *(str(tmp_path / name) for name in command[1:]))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if command[0] in ("channel-choi", "channel-equiv"):
+        assert err.startswith("error: DimensionOverflow: Choi matrix "
+                              "overflows: body entries reach 1.41e+308")
+
+
 def test_usage_error_exit_two(capsys):
     code, _, err = run(capsys, "channel-choi", "no-such-file.json")
     assert code == 2 and "error:" in err

@@ -39,6 +39,11 @@ class TestMatrix:
         with pytest.raises(TypingError):
             jsonio.matrix_from_json(bad)
 
+    def test_writer_refuses_nan_and_inf(self):
+        for bad in (np.nan, np.inf, 1j * np.inf):
+            with pytest.raises(TypingError):
+                jsonio.matrix_to_json(np.array([[1.0, bad]]))
+
     def test_rejects_wrong_entry_count(self):
         with pytest.raises(ShapeMismatch):
             jsonio.matrix_from_json({"rows": 2, "cols": 2,

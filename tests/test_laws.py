@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mucinf.errors import UnknownLaw, UnsupportedInModel
 from mucinf.laws import catalog, check_law
 from mucinf.objects import Base
+from mutants import CrashingCup, registered
 
 
 def test_catalog_size_and_membership():
@@ -101,3 +102,11 @@ def test_report_shape():
     assert set(payload) == {"law", "model", "trials", "max_abs_deviation",
                             "pass", "witness", "seed", "tol"}
     assert payload["pass"] is True
+
+
+def test_a_crashing_build_is_a_failed_report():
+    # the same report the suite gives a trial whose build raises
+    with registered(CrashingCup("mat-crash")) as model:
+        rep = check_law("SNAKE-L", model, seed=1)
+    assert not rep.passed and rep.max_abs_deviation == float("inf")
+    assert rep.witness == {"error": "ZeroDivisionError: cup", "trial": 0}

@@ -253,6 +253,14 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
+    def test_choi_names_an_overflow(self):
+        # finite entries whose squares overflow; a NaN body is no overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DimensionOverflow, match="reach 1.41e\\+308"):
+                choi(_freeze(np.array([[1e308 + 1e308j]])), 1)
+            with pytest.raises(NotHermitian):
+                choi(_freeze(np.array([[np.nan]])), 1)
+
     def test_largest_workload_payload_fits(self):
         assert mat_identity(512).shape == (512, 512)
 

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -215,6 +216,40 @@ def test_a_crashing_entry_becomes_a_failed_report():
         assert rep.max_abs_deviation == float("inf")
         assert rep.witness == {"error": "ZeroDivisionError: cup", "trial": 0}
     assert len(reps) == 61
+
+
+def _alternating(*values):
+    stream = itertools.cycle(values)
+    return lambda *_: next(stream)
+
+
+@pytest.mark.parametrize("entry", ["CP-CAT-IDENT", "CP-WELLDEF",
+                                   "CP-MIX-INV", "CP-Q-FUNCTOR"])
+def test_a_nan_second_part_fails_a_two_part_property(monkeypatch, entry):
+    # max(0.0, nan) is 0.0, so a fold by max would pass these properties
+    monkeypatch.setattr(cpinf, "channel_deviation",
+                        _alternating(0.0, float("nan")))
+    (rep,) = run_suite(SuiteConfig(models=("mat",), trials=2,
+                                   law_filter=entry))
+    assert not rep.passed and rep.max_abs_deviation == float("inf")
+
+
+def test_a_nan_second_part_fails_the_inclusion_functor():
+    class NanSecond(FmatModel):
+        deviation = staticmethod(_alternating(0.0, float("nan")))
+
+    with registered(NanSecond("fmat-nan-second")):
+        (rep,) = run_suite(SuiteConfig(models=("fmat-nan-second",), trials=2,
+                                       law_filter="FMAT-INCLUDE-FUNCTOR"))
+    assert not rep.passed and rep.max_abs_deviation == float("inf")
+
+
+def test_env_entries_read_the_one_axiom_table():
+    env = {e["id"]: e for e in list_laws() if e["id"].startswith("Env.")}
+    assert {i: e["anchor"] for i, e in env.items()} == {
+        i: anchor for i, (anchor, _) in cpinf.ENV_AXIOMS.items()}
+    assert all(e["kind"] == "property" and e["models"] == ["mat"]
+               for e in env.values())
 
 
 def test_catalog_trials_look_up_check_law_when_run(monkeypatch):
