@@ -131,9 +131,11 @@ def main(argv=None) -> int:
         if args.command == "channel-equiv":
             k1 = jsonio.channel_from_json(_load(args.first))
             k2 = jsonio.channel_from_json(_load(args.second))
-            verdict = cpinf.equiv_decide(k1, k2, tol)
-            _emit({"equivalent": verdict,
-                   "deviation": cpinf.channel_deviation(k1, k2)},
+            dev = cpinf.channel_deviation(k1, k2)
+            # phrased so that NaN, which fails every comparison, is
+            # inequivalent
+            verdict = bool(dev <= tol)
+            _emit({"equivalent": verdict, "deviation": dev},
                   args.out, seed, tol)
             return 0 if verdict else 1
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (DimensionOverflow, SpaceMismatch, TypingError,
                      UnsupportedInModel)
-from .matc import (ChoiMatrix, _check_size, choi, mat_kron,
+from .matc import (ChoiFactor, _check_size, choi_factor, mat_kron,
                    structural_matrix)
 from .morphisms import Model, Morphism, get_model, register_model
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
@@ -445,11 +445,11 @@ class FmatModel(Model):
                 or f.payload.tgt != self.interpret(f.cod):
             raise TypingError("sparse payload spaces do not match typing")
 
-    def canonical(self, k) -> ChoiMatrix:
-        """The Choi matrix of the densified body: the product labels of
+    def canonical(self, k) -> ChoiFactor:
+        """The Choi factor of the densified body: the product labels of
         ``Par(U, B)`` run ancilla-first, as the dense model's rows do."""
         body = to_dense(k.body.payload)
-        return choi(body, len(self.interpret(k.ancilla).index.labels))
+        return choi_factor(body, len(self.interpret(k.ancilla).index.labels))
 
     def kraus_compose_body(self, k1, k2) -> Morphism:
         # direct support surgery: never materialises the identity on the

@@ -35,9 +35,11 @@ Conventions
 * ``structural_matrix`` is the one rule for structural maps, serving both
   this model and the finite fragment of ``fmat``, which places its
   matrices on the spaces' label enumerations.
-* Choi matrices live here: ``ChoiMatrix`` is the canonical form of a
-  channel in this model and in the finite fragment of ``fmat``, and
-  ``choi`` computes it from a Kraus body.
+* Choi matrices live here.  ``choi`` glues a Kraus body to its dagger
+  into a ``ChoiMatrix``, the input of purification.  The canonical form of
+  a channel, in this model and in the finite fragment of ``fmat``, is a
+  ``ChoiFactor``: a view of the body that compares itself without ever
+  forming a Choi matrix.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def hermitian_eig(h: np.ndarray):
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """Canonical invariant of a dense-model channel.
+    """The Choi matrix of a dense-model channel, read by purification.
 
     ``matrix`` is Hermitian of size (in*out) x (in*out) in the (out, in)
     double-index convention: entry ((b,a),(b',a')) is the sum over Kraus
@@ -233,17 +235,6 @@ class ChoiMatrix:
         if self.matrix.shape[0] != self.dim_in * self.dim_out:
             raise TypingError("Choi matrix size must be dim_in * dim_out")
 
-    def deviation(self, other: "ChoiMatrix") -> float:
-        """Largest entrywise difference; 0 exactly when equivalent."""
-        dims = (self.dim_in, self.dim_out)
-        if dims != (other.dim_in, other.dim_out):
-            raise DomCodMismatch(f"channel types differ: {dims} vs "
-                                 f"{(other.dim_in, other.dim_out)}")
-        return max_abs_diff(self.matrix, other.matrix)
-
-    def equiv(self, other: "ChoiMatrix", tol: float = 1e-9) -> bool:
-        return self.deviation(other) <= tol
-
 
 def choi(body: np.ndarray, ancilla_dim: int) -> ChoiMatrix:
     """Glue a Kraus body ``(u*b) x a`` (ancilla wire first) to its dagger
@@ -253,15 +244,85 @@ def choi(body: np.ndarray, ancilla_dim: int) -> ChoiMatrix:
     b = rows // ancilla_dim
     w = body.reshape(ancilla_dim, b * a)
     _check_size(a * b, a * b, "Choi matrix")
-    c = w.T @ w.conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = w.T @ w.conj()
     # a NaN body is not an overflow; the Hermitian check below rejects it
     if not np.isfinite(c).all() and np.isfinite(w).all():
-        raise DimensionOverflow(
-            f"Choi matrix overflows: body entries reach "
-            f"{np.max(np.abs(w)):.3g}")
+        raise _overflow(w)
     # clip rounding asymmetry so the invariant holds exactly
     c = (c + c.conj().T) / 2.0
     return ChoiMatrix(c, a, b)
+
+
+def _overflow(*factors: np.ndarray) -> DimensionOverflow:
+    peak = max(float(np.max(np.abs(x), initial=0.0)) for x in factors)
+    return DimensionOverflow(
+        f"Choi matrix overflows: body entries reach {peak:.3g}")
+
+
+@dataclass(frozen=True)
+class ChoiFactor:
+    """Canonical form of a dense-model channel: a factor ``X`` of its Choi
+    matrix, ``C = X X^``.
+
+    ``factor`` is the ``(b*a) x u`` ancilla-major reshape of the Kraus body,
+    a read-only view: column i is Kraus block M_i read in ``ChoiMatrix``'s
+    (out, in) double-index convention.  Two forms compare through
+    ``D = X1 X1^ - X2 X2^``, formed directly when ``b*a <= u1 + u2`` and
+    otherwise on ``[R1 R2] = R``, the R of one QR of ``[X1 X2]``, where it is
+    only ``(u1+u2) x (u1+u2)``.  No Choi matrix is ever built.
+    """
+
+    factor: np.ndarray
+    dim_in: int
+    dim_out: int
+
+    def deviation(self, other: "ChoiFactor") -> float:
+        """Frobenius norm of the difference of the two Choi matrices: in
+        exact arithmetic 0 exactly when equivalent, never below their
+        largest entrywise difference, and ``inf`` when a factor is not
+        finite.  Finite factors whose products overflow raise
+        ``DimensionOverflow``."""
+        dims = (self.dim_in, self.dim_out)
+        if dims != (other.dim_in, other.dim_out):
+            raise DomCodMismatch(f"channel types differ: {dims} vs "
+                                 f"{(other.dim_in, other.dim_out)}")
+        x1, x2 = self.factor, other.factor
+        u1 = x1.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if x1.shape[0] > u1 + x2.shape[1]:
+                # [X1 X2] = Q R and Q has orthonormal columns, so the
+                # Frobenius norm of D is the same on R's columns
+                r = np.linalg.qr(np.concatenate((x1, x2), axis=1), mode="r")
+                x1, x2 = r[:, :u1], r[:, u1:]
+            d = x1 @ x1.conj().T - x2 @ x2.conj().T
+            dev = math.sqrt(np.vdot(d, d).real)
+            if not dev < math.inf:
+                # the squares may overflow before D does: rescale by its peak
+                peak = float(np.max(np.abs(d)))
+                d = d / peak
+                dev = peak * math.sqrt(np.vdot(d, d).real)
+        if dev < math.inf:
+            return dev
+        # NaN or inf in a factor is no overflow
+        if np.isfinite(self.factor).all() and np.isfinite(other.factor).all():
+            raise _overflow(self.factor, other.factor)
+        return math.inf
+
+    def equiv(self, other: "ChoiFactor", tol: float = 1e-9) -> bool:
+        return self.deviation(other) <= tol
+
+
+def choi_factor(body: np.ndarray, ancilla_dim: int) -> ChoiFactor:
+    """The canonical form of the Kraus body ``(u*b) x a`` (ancilla wire
+    first): its ``(b*a) x u`` factor, size-guarded before anything is
+    allocated."""
+    rows, a = body.shape
+    b = rows // ancilla_dim
+    _check_size(b * a, ancilla_dim, "Choi factor")
+    x = body.reshape(ancilla_dim, b * a).T
+    x.flags.writeable = False
+    return ChoiFactor(x, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +413,8 @@ class MatModel(Model):
             raise TypingError(
                 f"payload shape {f.payload.shape} does not match typing")
 
-    def canonical(self, k) -> ChoiMatrix:
-        return choi(k.body.payload, self.interpret(k.ancilla))
+    def canonical(self, k) -> ChoiFactor:
+        return choi_factor(k.body.payload, self.interpret(k.ancilla))
 
     # sampling ----------------------------------------------------------------
     def random_object(self, rng, unitary: bool = False) -> ObjectExpr:

@@ -42,6 +42,25 @@ def test_channel_equiv_distinguishes(tmp_path, capsys):
     assert json.loads(out)["equivalent"] is False
 
 
+def test_channel_equiv_builds_two_canonical_forms(tmp_path, capsys,
+                                                  monkeypatch):
+    k1, k2 = cpinf.distinct_pair(MAT, RNG, Base(2), Base(3))
+    same = cpinf.equivalent_variant(RNG, k1)
+    paths = [write_channel(tmp_path / f"{i}.json", k)
+             for i, k in enumerate((k1, same, k2))]
+    built = []
+    canonical = MAT.canonical
+    monkeypatch.setattr(MAT, "canonical",
+                        lambda k: built.append(k) or canonical(k))
+    for other, expected in ((paths[1], 0), (paths[2], 1)):
+        built.clear()
+        code, out, _ = run(capsys, "channel-equiv", paths[0], other)
+        payload = json.loads(out)
+        assert (code, len(built)) == (expected, 2)
+        assert payload["equivalent"] is (expected == 0)
+        assert (payload["deviation"] <= 1e-9) is (expected == 0)
+
+
 def test_channel_apply_discard_is_trace(tmp_path, capsys):
     p = write_channel(tmp_path / "discard.json",
                       cpinf.env_discard("mat", Base(2)))

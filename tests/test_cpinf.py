@@ -1,4 +1,5 @@
 import ast
+import math
 import tracemalloc
 from collections import Counter
 from contextlib import nullcontext
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucinf import cpinf, laws, matc, suite
+from mucinf import cpinf, fmat, laws, matc, suite
 from mucinf.cpinf import (EnvStructure, canonical_env, channel,
                           channel_action, channel_deviation, env_check,
                           env_discard, env_factor, equiv_decide,
@@ -67,6 +68,21 @@ def cp_kraus(c, r, cp):
     body = Morphism("cplane", Base(complex(c)),
                     Par(Base(complex(r)), Base(complex(cp))), None)
     return kraus_new(body, Base(complex(r)))
+
+
+def nan_scaled_discard(u_expr):
+    """The honest discard with every entry scaled by NaN."""
+    honest = env_discard("mat", u_expr)
+    body = Morphism("mat", honest.body.dom, honest.body.cod,
+                    honest.body.payload * np.nan)
+    return kraus_new(body, honest.ancilla)
+
+
+def reference_choi(k):
+    """The Choi matrix summed block by block: entry ((b, a), (b', a')) is
+    the sum over Kraus blocks M of M[b, a] * conj(M[b', a'])."""
+    vecs = [m.reshape(-1) for m in pure_decomposition(k)]
+    return sum(np.outer(v, v.conj()) for v in vecs)
 
 
 class TestConstruction:
@@ -509,6 +525,14 @@ class TestEnvironment:
             assert not reports[axiom].passed
             assert reports[axiom].max_abs_deviation == float("inf")
 
+    def test_nan_discard_is_reported_as_non_finite(self):
+        broken = EnvStructure("mat", functor_Q, nan_scaled_discard,
+                              "nan-discard")
+        reports = env_check(broken, trials=5, seed=4)
+        assert [r.max_abs_deviation for r in reports] == [math.inf] * 4
+        assert not any(r.passed for r in reports)
+        assert not any("NotHermitian" in repr(r.witness) for r in reports)
+
     def test_purification_factors_through_discard(self):
         k = random_channel(MAT, RNG, Base(2), Base(3), Base(2))
         rebuilt = env_factor(canonical_env(), k)
@@ -582,6 +606,31 @@ class TestInitiality:
         assert not strict["consistent"] and strict["tol"] == 1e-7
 
 
+    def test_a_nan_discard_makes_the_probe_inconsistent(self):
+        tgt = EnvStructure("mat", functor_Q, nan_scaled_discard,
+                           "nan-discard")
+        report = initiality_probe(canonical_env(), tgt, samples=3, seed=0)
+        assert not report["consistent"]
+        assert set(report["checks"].values()) == {0}
+        assert all("error" not in f for f in report["failures"])
+
+    def test_a_check_that_raises_fails_alone(self):
+        def picky(u_expr):
+            if MAT.interpret(u_expr) == 3:
+                raise ZeroDivisionError("no discard of 3")
+            return env_discard("mat", u_expr)
+
+        tgt = EnvStructure("mat", functor_Q, picky, "picky")
+        report = initiality_probe(canonical_env(), tgt, samples=10, seed=0)
+        assert not report["consistent"]
+        assert report["failures"][0] == {
+            "check": "functorial", "sample": 0,
+            "error": "ZeroDivisionError: no discard of 3"}
+        # the other checks of the same sample, and later samples, still ran
+        assert report["checks"]["identity"] == 10
+        assert 0 < report["checks"]["functorial"] < 10
+
+
 class TestFmatChannels:
     def test_composition_in_the_finite_fragment(self):
         # the product space of a tensor and of a par coincide, so a sparse
@@ -651,8 +700,70 @@ class TestCanonicalForms:
         for a, b, u in [(1, 1, 1), (2, 3, 2), (3, 2, 3)]:
             k = fmat_kraus(rng, a, b, u)
             dense = make_kraus(to_dense(k.body.payload), a, b, u)
-            assert np.array_equal(channel(k).canonical.matrix,
-                                  to_choi(dense).matrix)
+            form, reference = channel(k).canonical, MAT.canonical(dense)
+            assert np.array_equal(form.factor, reference.factor)
+            assert (form.dim_in, form.dim_out) == (a, b)
+            assert form.deviation(reference) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+           st.sampled_from(["unitary", "padded", "distinct"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_factor_verdict_is_the_choi_verdict(self, a, b, u, kind, seed):
+        rng = np.random.default_rng(seed)
+        k1 = random_channel(MAT, rng, Base(a), Base(b), Base(u))
+        if kind == "distinct":
+            k2 = random_channel(MAT, rng, Base(a), Base(b),
+                                Base(int(rng.integers(1, 4))))
+        else:
+            extra = int(rng.integers(1, 3)) if kind == "padded" else 0
+            mixer = random_unitary(rng, u + extra)[:, :u]
+            k2 = make_kraus(np.kron(mixer, np.eye(b)) @ k1.body.payload,
+                            a, b, u + extra)
+        dev = channel_deviation(k1, k2)
+        gap = np.max(np.abs(reference_choi(k1) - reference_choi(k2)))
+        assert (dev <= 1e-9) == (gap <= 1e-9) == (kind != "distinct")
+        assert dev >= gap - 1e-12
+
+    @pytest.mark.parametrize("seed", [11, 17])
+    def test_mix_inverse_holds_past_the_choi_size_guard(self, seed):
+        # these seeds draw 81-dimensional objects, whose 6561 x 6561 Choi
+        # matrices exceed the entry limit
+        (report,) = suite.run_suite(suite.SuiteConfig(
+            models=("mat",), law_filter="CP-MIX-INV", trials=100,
+            seed=seed))
+        assert report.passed, report.witness
+
+    def test_an_81_dimensional_comparison_stays_small(self):
+        rng = np.random.default_rng(81)
+        v = Morphism("mat", Base(81), Base(81), random_unitary(rng, 81))
+        phased = Morphism("mat", v.dom, v.cod, 1j * v.payload)
+        other = Morphism("mat", v.dom, v.cod, random_unitary(rng, 81))
+        k, same, apart = functor_Q(v), functor_Q(phased), functor_Q(other)
+        tracemalloc.start()
+        try:
+            assert equiv_decide(k, same)
+            assert not equiv_decide(k, apart)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20  # one 6561 x 6561 Choi matrix is 688 MB
+
+    def test_canonical_forms_build_no_choi_matrix(self):
+        # the factor form compares itself; only to_choi glues the matrix
+        sites = [(matc, "MatModel", "canonical"),
+                 (fmat, "FmatModel", "canonical"),
+                 (matc, "ChoiFactor", None), (matc, "choi_factor", None)]
+        for module, outer, inner in sites:
+            tree = ast.parse(Path(module.__file__).read_text())
+            (node,) = [n for n in tree.body if getattr(n, "name", "") == outer]
+            if inner:
+                (node,) = [n for n in node.body
+                           if getattr(n, "name", "") == inner]
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute)}
+            assert not names & {"choi", "ChoiMatrix"}, (outer, inner)
 
     def test_random_fmat_channels_compose(self):
         # composite bodies land on Par(Par(U1, U2), C), up to 27 labels

@@ -345,6 +345,11 @@ def test_dense_round_trips_are_size_guarded():
     body = Morphism("fmat", Base(big), cod,
                     SparseMatrix(big, FMAT.interpret(cod), ()))
     k = kraus_new(body, Base(one))
+    # its Choi factor is 5000 x 5000, past the entry limit
+    wide_cod = Par(Base(one), Base(big))
+    wide = kraus_new(Morphism("fmat", Base(big), wide_cod,
+                              SparseMatrix(big, FMAT.interpret(wide_cod),
+                                           ())), Base(one))
     tracemalloc.start()
     try:
         with pytest.raises(DimensionOverflow):
@@ -353,8 +358,10 @@ def test_dense_round_trips_are_size_guarded():
             FMAT.tensor_payload(ident, unit)
         with pytest.raises(DimensionOverflow):
             FMAT.structural_payload("a_tensor", (), Base(big), Base(big))
+        # the Choi matrix would be 5000 x 5000; its factor is 5000 x 1
+        assert FMAT.canonical(k).factor.shape == (5000, 1)
         with pytest.raises(DimensionOverflow):
-            FMAT.canonical(k)
+            FMAT.canonical(wide)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from mucinf.errors import DimensionOverflow, NotHermitian, ShapeMismatch
 from mucinf.matc import (DIM_LIMIT, ENTRY_LIMIT, MAT, _freeze,
                          apply_channel, bell_counit, bell_unit,
-                         check_hermitian, choi, commutation_perm,
+                         check_hermitian, choi, choi_factor,
+                         commutation_perm,
                          hermitian_eig, mat_dagger,
                          mat_identity, mat_kron, random_unitary)
 from mucinf.morphisms import Model, Morphism, identity
@@ -260,6 +263,28 @@ class TestSizeGuard:
                 choi(_freeze(np.array([[1e308 + 1e308j]])), 1)
             with pytest.raises(NotHermitian):
                 choi(_freeze(np.array([[np.nan]])), 1)
+
+    def test_choi_overflow_raises_without_warnings(self):
+        # no errstate here: choi keeps its own products quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionOverflow, match="reach 1.41e\\+308"):
+                choi(_freeze(np.array([[1e308 + 1e308j]])), 1)
+
+    def test_factor_comparison_of_huge_and_nan_bodies(self):
+        huge = choi_factor(_freeze(np.array([[1e308 + 1e308j]])), 1)
+        nan = choi_factor(_freeze(np.array([[np.nan]])), 1)
+        one = choi_factor(_freeze(np.array([[1.0]])), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionOverflow, match="reach 1.41e\\+308"):
+                huge.deviation(one)
+            assert nan.deviation(one) == one.deviation(nan) == math.inf
+            assert not nan.equiv(nan)
+        # D's entries are finite here, but the sum of their squares is not
+        big = choi_factor(_freeze(np.array([[1e100], [0.0]])), 1)
+        zero = choi_factor(_freeze(np.zeros((2, 1))), 1)
+        assert big.deviation(zero) == pytest.approx(1e200)
 
     def test_largest_workload_payload_fits(self):
         assert mat_identity(512).shape == (512, 512)
