@@ -3,13 +3,18 @@
 stdout carries machine-readable JSON only; diagnostics go to stderr.  Exit
 codes: 0 success (for ``channel-equiv``: equivalent), 1 law failure or
 inequivalence, 2 usage or I/O error.  ``MUC_CPINF_SEED`` provides the seed
-when ``--seed`` is absent.
+when ``--seed`` is absent; ``--tol`` must be positive and finite.
+
+The parser is built once per process, on the first ``main`` call, and
+shared by every later call: ``parse_args`` keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -47,6 +52,7 @@ def _load(path) -> dict:
         return json.load(fh)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mucinf",
@@ -106,6 +112,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     tol = args.tol
     try:
+        # positive as in SuiteConfig, and finite, as JSON has no NaN or inf
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, "
+                             f"got {tol}")
         seed = args.seed if args.seed is not None else _default_seed()
         if args.command == "laws-run":
             models = tuple(args.model) if args.model \

@@ -177,7 +177,8 @@ def kraus_dagger(k: KrausMorphism) -> KrausMorphism:
 def to_choi(k: KrausMorphism) -> ChoiMatrix:
     """Glue the representative to its dagger along the ancilla."""
     m = _dense(k.model)
-    return matc.choi(k.body.payload, m.interpret(k.ancilla))
+    return matc.choi(k.body.payload, m.interpret(k.ancilla),
+                     m.interpret(k.cod))
 
 
 def _canonical_pair(k1: KrausMorphism, k2: KrausMorphism):

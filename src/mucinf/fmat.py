@@ -449,7 +449,8 @@ class FmatModel(Model):
         """The Choi factor of the densified body: the product labels of
         ``Par(U, B)`` run ancilla-first, as the dense model's rows do."""
         body = to_dense(k.body.payload)
-        return choi_factor(body, len(self.interpret(k.ancilla).index.labels))
+        return choi_factor(body, len(self.interpret(k.ancilla).index.labels),
+                           len(self.interpret(k.cod).index.labels))
 
     def kraus_compose_body(self, k1, k2) -> Morphism:
         # direct support surgery: never materialises the identity on the

@@ -14,13 +14,17 @@ Schemas:
 
 Readers check the type of every document and field they read: a document
 or field of the wrong JSON type, a dimension that is not an integer, or a
-non-finite number raises ``TypingError``.  The matrix writer refuses a
-non-finite entry the same way.
+non-finite number raises ``TypingError``.  An integer beyond float range
+counts as non-finite.  The matrix writer refuses a non-finite entry the same
+way.  The matrix reader checks every entry's shape and every number's type
+in one pass and converts the entries at once; only a document that fails a
+check is walked entry by entry, so that the error names its first offender.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from types import SimpleNamespace
 from typing import List
 
@@ -52,7 +56,10 @@ def _array(x, what: str, width=None) -> list:
 def _check_finite(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypingError(f"non-numeric {x!r:.40} in {what}")
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # an integer beyond float range
+        x = math.inf
     if not math.isfinite(x):
         raise TypingError(f"non-finite number in {what}")
     return x
@@ -70,21 +77,36 @@ def matrix_to_json(m: np.ndarray) -> dict:
     if not np.isfinite(m).all():
         raise TypingError("non-finite number in matrix to write")
     rows, cols = m.shape
-    entries = [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
-    return {"rows": int(rows), "cols": int(cols), "entries": entries}
+    entries = np.stack((m.real, m.imag), -1, dtype=float).reshape(-1, 2)
+    return {"rows": int(rows), "cols": int(cols), "entries": entries.tolist()}
+
+
+def _finite_pairs(entries: list) -> np.ndarray:
+    """The ``[re, im]`` entries as one ``n x 2`` float array, checked in one
+    pass; a failed check walks them one by one to name the first offender."""
+    if set(map(type, chain.from_iterable(entries))) <= {int, float}:
+        try:
+            pairs = np.array(entries, dtype=float).reshape(-1, 2)
+            if np.isfinite(pairs).all():
+                return pairs
+        except OverflowError:  # an integer beyond float range
+            pass
+    return np.array([[_check_finite(x, "matrix") for x in e]
+                     for e in entries], dtype=float)
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
     d = _object(d, "matrix")
     rows, cols = _dim(d, "rows"), _dim(d, "cols")
-    entries = [_array(e, "matrix entry", 2)
-               for e in _array(d["entries"], "matrix entries")]
+    entries = _array(d["entries"], "matrix entries")
+    if not (set(map(type, entries)) <= {list}
+            and set(map(len, entries)) <= {2}):
+        for e in entries:
+            _array(e, "matrix entry", 2)
     if len(entries) != rows * cols:
         raise ShapeMismatch(
             f"expected {rows * cols} entries, got {len(entries)}")
-    flat = [complex(_check_finite(re, "matrix"), _check_finite(im, "matrix"))
-            for re, im in entries]
-    return _freeze(np.array(flat, dtype=complex).reshape(rows, cols))
+    return _freeze(_finite_pairs(entries).view(complex).reshape(rows, cols))
 
 
 def channel_to_json(k: KrausMorphism) -> dict:

@@ -236,12 +236,11 @@ class ChoiMatrix:
             raise TypingError("Choi matrix size must be dim_in * dim_out")
 
 
-def choi(body: np.ndarray, ancilla_dim: int) -> ChoiMatrix:
+def choi(body: np.ndarray, ancilla_dim: int, dim_out: int) -> ChoiMatrix:
     """Glue a Kraus body ``(u*b) x a`` (ancilla wire first) to its dagger
     along the ancilla.  A finite body whose Choi matrix overflows raises
     ``DimensionOverflow``."""
-    rows, a = body.shape
-    b = rows // ancilla_dim
+    a, b = body.shape[1], dim_out
     w = body.reshape(ancilla_dim, b * a)
     _check_size(a * b, a * b, "Choi matrix")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,12 +312,12 @@ class ChoiFactor:
         return self.deviation(other) <= tol
 
 
-def choi_factor(body: np.ndarray, ancilla_dim: int) -> ChoiFactor:
+def choi_factor(body: np.ndarray, ancilla_dim: int,
+                dim_out: int) -> ChoiFactor:
     """The canonical form of the Kraus body ``(u*b) x a`` (ancilla wire
     first): its ``(b*a) x u`` factor, size-guarded before anything is
-    allocated."""
-    rows, a = body.shape
-    b = rows // ancilla_dim
+    allocated.  An empty ancilla gives the zero channel's ``(b*a) x 0``."""
+    a, b = body.shape[1], dim_out
     _check_size(b * a, ancilla_dim, "Choi factor")
     x = body.reshape(ancilla_dim, b * a).T
     x.flags.writeable = False
@@ -414,7 +413,8 @@ class MatModel(Model):
                 f"payload shape {f.payload.shape} does not match typing")
 
     def canonical(self, k) -> ChoiFactor:
-        return choi_factor(k.body.payload, self.interpret(k.ancilla))
+        return choi_factor(k.body.payload, self.interpret(k.ancilla),
+                           self.interpret(k.cod))
 
     # sampling ----------------------------------------------------------------
     def random_object(self, rng, unitary: bool = False) -> ObjectExpr:

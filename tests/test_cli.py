@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from mucinf import cpinf, jsonio
-from mucinf.cli import main
+from mucinf.cli import build_parser, main
 from mucinf.matc import MAT
 from mucinf.objects import Base
 
@@ -280,6 +281,70 @@ def test_usage_error_exit_two(capsys):
     assert code == 2 and "error:" in err
 
 
-def test_entry_point_parses():
-    with pytest.raises(SystemExit):
-        main(["--help"])
+def test_entry_point_parses(capsys):
+    # the second call goes through the parser the first one built
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mucinf")
+
+
+def test_a_huge_integer_entry_exits_two(tmp_path, capsys):
+    p = tmp_path / "k.json"
+    p.write_text('{"dom": 1, "cod": 1, "ancilla": 1, "body": {"rows": 1, '
+                 '"cols": 1, "entries": [[' + "9" * 400 + ', 0]]}}')
+    code, out, err = run(capsys, "channel-choi", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: TypingError: non-finite number in matrix\n"
+
+
+_COMMANDS = (["laws-run"], ["laws-list"], ["channel-compose", "k", "k"],
+             ["channel-equiv", "k", "k"], ["channel-choi", "k"],
+             ["channel-decompose", "k"], ["channel-purify", "c"],
+             ["channel-apply", "k", "rho"], ["fmat-check", "m"])
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_a_tolerance_not_positive_and_finite_exits_two(tmp_path, capsys,
+                                                       tol):
+    k = write_channel(tmp_path / "k.json",
+                      cpinf.kraus_identity("mat", Base(2)))
+    for command in _COMMANDS:
+        argv = [k if arg == "k" else arg for arg in command]
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ValueError: tolerance must be "
+                              "positive and finite") and err.count("\n") == 1
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1)
+                        or init(self, *a, **kw))
+    build_parser.cache_clear()
+    k = write_channel(tmp_path / "k.json",
+                      cpinf.kraus_identity("mat", Base(2)))
+    counts = []
+    for argv in (["laws-list"], ["channel-equiv", k, k],
+                 ["channel-choi", k], ["laws-run", "--model", "cplane",
+                                       "--trials", "1", "--filter", "DMIX"],
+                 ["channel-compose", k, k]):
+        assert run(capsys, *argv)[0] == 0
+        counts.append(len(built))
+    # the first call builds the parser and its subparsers, no later one does
+    assert counts[0] > 0 and counts == counts[:1] * 5
+
+
+def test_a_model_restriction_does_not_stick(capsys):
+    seen = []
+    for argv in (["--model", "mat"], []):
+        code, out, _ = run(capsys, "laws-run", "--trials", "1",
+                           "--filter", "PRES", *argv)
+        assert code == 0
+        seen.append(sorted(json.loads(line)["model"]
+                           for line in out.splitlines()))
+    assert seen == [["mat"], ["cplane", "fmat", "mat"]]
+

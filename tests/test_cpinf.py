@@ -672,6 +672,26 @@ class TestFmatChannels:
         with pytest.raises(UnsupportedInModel):
             equiv_decide(out, out)
 
+    def test_an_empty_ancilla_is_the_zero_channel(self):
+        fm = get_model("fmat")
+        empty, one, two = (Base(fmat.finite_space(labels))
+                           for labels in ((), (0,), (0, 1)))
+
+        def kraus(u, entries):
+            payload = fmat.SparseMatrix(fm.interpret(two),
+                                        fm.interpret(Par(u, two)), entries)
+            return kraus_new(Morphism("fmat", two, Par(u, two), payload), u)
+
+        zero = kraus(empty, ())
+        form = channel(zero).canonical
+        assert form.factor.shape == (4, 0)
+        assert (form.dim_in, form.dim_out) == (2, 2)
+        assert equiv_decide(zero, zero)
+        assert channel_deviation(zero, zero) == 0.0
+        nonzero = kraus(one, ((0, (0, 1), 1 + 0j),))
+        assert not equiv_decide(zero, nonzero)
+        assert channel_deviation(nonzero, zero) == 1.0
+
     def test_equiv_outside_finite_fragment_unsupported(self):
         from mucinf.fmat import OMEGA_FIN, SparseMatrix
         fm = get_model("fmat")

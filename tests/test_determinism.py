@@ -1,16 +1,23 @@
-"""Bit-identity guard: the seed-7, 100-trial suite keeps every deviation.
+"""Bit-identity guards: the seed-7, 100-trial suite keeps every deviation,
+and the CLI channel round trip keeps every byte it writes.
 
-The digest is sha256 over the sorted ``(law, model, repr(max_abs_deviation))``
-rows of one run, the same formula as the benchmark's ``laws_digest``.  It
-belongs to the environment it was taken in (Python 3.11.7, numpy 2.4.6,
-OpenBLAS 0.3.31): another BLAS or numpy may round differently.  A change
-that alters deviations on purpose updates the digest here and records the
-old and new values, and why, in CHANGES.md.
+A suite digest is sha256 over the sorted ``(law, model,
+repr(max_abs_deviation))`` rows of one run, the same formula as the
+benchmark's ``laws_digest``.  Each digest belongs to the environment it was
+taken in (Python 3.11.7, numpy 2.4.6,
+OpenBLAS 0.3.31): another BLAS or numpy may round differently, as may the
+eigensolver behind ``channel-purify`` in the CLI digest.  A change that
+alters deviations or output bytes on purpose updates the digest here and
+records the old and new values, and why, in CHANGES.md.
 """
 
 import hashlib
 import json
+import os
 
+import numpy as np
+
+from mucinf.cli import main
 from mucinf.suite import SuiteConfig, run_suite
 from mutants import MUTANTS, registered
 
@@ -40,3 +47,47 @@ def test_mutant_deviations_are_bit_identical():
                                              trials=25, seed=0))
     assert (len(reports), sum(not r.passed for r in reports)) == (319, 33)
     assert laws_digest(reports) == MUTANTS_DIGEST
+
+
+# compose -> choi -> purify -> equiv through cli.main on the channels below:
+# sha256 over the name and bytes of every file the CLI wrote, in call order
+CLI_DIGEST = "7cfd67a5f2a10793"
+# (a, b, c, u1, u2, u3): k1 is a -> b with ancilla u1, k2 is b -> c with u2,
+# k3 is a -> c with u3
+CLI_CHANNELS = ((1, 1, 1, 1, 1, 1), (2, 3, 2, 2, 1, 3), (3, 2, 4, 1, 3, 2),
+                (4, 4, 1, 2, 2, 1))
+
+
+def _write_channel(path, rng, a, b, u):
+    # plain json, so the inputs do not depend on the codecs under test
+    body = rng.standard_normal((u * b, a, 2))
+    path.write_text(json.dumps({
+        "dom": a, "cod": b, "ancilla": u,
+        "body": {"rows": u * b, "cols": a,
+                 "entries": body.reshape(-1, 2).tolist()}}))
+    return str(path)
+
+
+def test_cli_round_trip_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(15)
+    written, codes = [], []
+    for i, (a, b, c, u1, u2, u3) in enumerate(CLI_CHANNELS):
+        k1 = _write_channel(tmp_path / f"{i}-k1.json", rng, a, b, u1)
+        k2 = _write_channel(tmp_path / f"{i}-k2.json", rng, b, c, u2)
+        k3 = _write_channel(tmp_path / f"{i}-k3.json", rng, a, c, u3)
+        path = {name: str(tmp_path / f"{i}-{name}.json")
+                for name in ("comp", "choi", "pure", "v1", "v2")}
+        for argv, out in ((["channel-compose", k1, k2], "comp"),
+                          (["channel-choi", path["comp"]], "choi"),
+                          (["channel-purify", path["choi"]], "pure"),
+                          (["channel-equiv", path["pure"], path["comp"]],
+                           "v1"),
+                          (["channel-equiv", k3, path["comp"]], "v2")):
+            codes.append(main(argv + ["--out", path[out]]))
+            written.append(path[out])
+    assert codes == [0, 0, 0, 0, 1] * len(CLI_CHANNELS)
+    digest = hashlib.sha256()
+    for p in written:
+        with open(p, "rb") as fh:
+            digest.update(os.path.basename(p).encode() + b"\0" + fh.read())
+    assert digest.hexdigest()[:16] == CLI_DIGEST

@@ -237,3 +237,111 @@ def test_damaged_documents_raise_only_what_the_cli_reports(which, where,
         except (MucinfError, KeyError, ValueError):
             pass
     assert isinstance(jsonio.fmat_check_report(d)["valid"], bool)
+
+
+def _reference_matrix_from_json(d: dict) -> np.ndarray:
+    """The matrix reader entry by entry: every entry's shape, then the
+    count, then every number in order."""
+    d = jsonio._object(d, "matrix")
+    rows, cols = jsonio._dim(d, "rows"), jsonio._dim(d, "cols")
+    entries = [jsonio._array(e, "matrix entry", 2)
+               for e in jsonio._array(d["entries"], "matrix entries")]
+    if len(entries) != rows * cols:
+        raise ShapeMismatch(
+            f"expected {rows * cols} entries, got {len(entries)}")
+    flat = [complex(jsonio._check_finite(re, "matrix"),
+                    jsonio._check_finite(im, "matrix"))
+            for re, im in entries]
+    return np.array(flat, dtype=complex).reshape(rows, cols)
+
+
+def _outcome(reader, d):
+    try:
+        m = reader(d)
+    except (MucinfError, KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return m.shape, m.tobytes()
+
+
+HUGE = int("9" * 400)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestMatrixCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_round_trip_is_bit_identical(self, rows, cols, data):
+        edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                                 1e308, -1e308, 1.7976931348623157e308])
+        parts = data.draw(st.lists(st.one_of(_FLOATS, edges),
+                                   min_size=2 * rows * cols,
+                                   max_size=2 * rows * cols))
+        m = np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+        text = json.dumps(jsonio.matrix_to_json(m))
+        again = jsonio.matrix_from_json(json.loads(text))
+        assert again.shape == m.shape and again.tobytes() == m.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_valid_documents_read_as_entry_by_entry(self, rows, cols, data):
+        numbers = st.one_of(_FLOATS, st.integers(-2 ** 80, 2 ** 80))
+        entries = data.draw(st.lists(st.lists(numbers, min_size=2,
+                                              max_size=2),
+                                     min_size=rows * cols,
+                                     max_size=rows * cols))
+        d = {"rows": rows, "cols": cols, "entries": entries}
+        new, ref = (_outcome(r, d) for r in (jsonio.matrix_from_json,
+                                             _reference_matrix_from_json))
+        assert new == ref and new[0] == (rows, cols)
+
+    @pytest.mark.parametrize("where, bad", [
+        *(("leaf", bad) for bad in (
+            True, False, "1", None, [1.0], [], {}, float("nan"),
+            float("inf"), -float("inf"), HUGE, -HUGE)),
+        *(("entry", bad) for bad in (
+            True, "1", None, [1.0], [1.0, 0.0, 0.0], [], 1.0, 7,
+            [[1.0, 0.0], [2.0, 3.0]], {"re": 1.0}, [True, 0.0],
+            [HUGE, float("nan")]))])
+    def test_malformed_entries_raise_as_entry_by_entry(self, where, bad):
+        entries = [[1.0, 2.0], [3, -0.0], [0.5, 0.25], [4.0, 5.0]]
+        if where == "leaf":
+            entries[2][1] = bad
+        else:
+            entries[2] = bad
+        d = {"rows": 2, "cols": 2, "entries": entries}
+        new = _outcome(jsonio.matrix_from_json, d)
+        assert new == _outcome(_reference_matrix_from_json, d)
+        assert isinstance(new[0], type) and issubclass(new[0], MucinfError)
+
+    def test_literals_from_the_json_text_raise_as_entry_by_entry(self):
+        for literal in ("NaN", "Infinity", "-Infinity", "9" * 400):
+            d = json.loads('{"rows": 1, "cols": 2, "entries": '
+                           f'[[1.0, 0.0], [{literal}, 0.0]]}}')
+            new = _outcome(jsonio.matrix_from_json, d)
+            assert new == _outcome(_reference_matrix_from_json, d)
+            assert new == (TypingError, "non-finite number in matrix")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), _JSON)
+    def test_damaged_matrices_raise_as_entry_by_entry(self, where, value):
+        d = jsonio.matrix_to_json(np.arange(4.0).reshape(2, 2) - 1.5j)
+        places = list(_places(d))
+        path = places[where % len(places)]
+        if path:
+            parent = d
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            d = value
+        assert _outcome(jsonio.matrix_from_json, d) \
+            == _outcome(_reference_matrix_from_json, d)
+
+    def test_a_huge_integer_is_non_finite(self):
+        d = {"rows": 1, "cols": 1, "entries": [[HUGE, 0]]}
+        with pytest.raises(TypingError, match="^non-finite number in matrix$"):
+            jsonio.matrix_from_json(d)
+        d = jsonio.fmat_to_json(include_mat(np.eye(2)))
+        d["entries"][0][3] = -HUGE
+        with pytest.raises(TypingError, match="^non-finite number in fmat$"):
+            jsonio.fmat_from_json(d)

@@ -250,31 +250,40 @@ class TestSizeGuard:
         tracemalloc.start()
         try:
             with pytest.raises(DimensionOverflow):
-                choi(body, 1)
+                choi(body, 1, 5000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
+    def test_an_empty_ancilla_glues_to_zero(self):
+        body = _freeze(np.zeros((0, 2)))
+        c = choi(body, 0, 3)
+        assert c.matrix.shape == (6, 6) and not c.matrix.any()
+        assert (c.dim_in, c.dim_out) == (2, 3)
+        form = choi_factor(body, 0, 3)
+        assert form.factor.shape == (6, 0)
+        assert (form.dim_in, form.dim_out) == (2, 3)
+
     def test_choi_names_an_overflow(self):
         # finite entries whose squares overflow; a NaN body is no overflow
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DimensionOverflow, match="reach 1.41e\\+308"):
-                choi(_freeze(np.array([[1e308 + 1e308j]])), 1)
+                choi(_freeze(np.array([[1e308 + 1e308j]])), 1, 1)
             with pytest.raises(NotHermitian):
-                choi(_freeze(np.array([[np.nan]])), 1)
+                choi(_freeze(np.array([[np.nan]])), 1, 1)
 
     def test_choi_overflow_raises_without_warnings(self):
         # no errstate here: choi keeps its own products quiet
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DimensionOverflow, match="reach 1.41e\\+308"):
-                choi(_freeze(np.array([[1e308 + 1e308j]])), 1)
+                choi(_freeze(np.array([[1e308 + 1e308j]])), 1, 1)
 
     def test_factor_comparison_of_huge_and_nan_bodies(self):
-        huge = choi_factor(_freeze(np.array([[1e308 + 1e308j]])), 1)
-        nan = choi_factor(_freeze(np.array([[np.nan]])), 1)
-        one = choi_factor(_freeze(np.array([[1.0]])), 1)
+        huge = choi_factor(_freeze(np.array([[1e308 + 1e308j]])), 1, 1)
+        nan = choi_factor(_freeze(np.array([[np.nan]])), 1, 1)
+        one = choi_factor(_freeze(np.array([[1.0]])), 1, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DimensionOverflow, match="reach 1.41e\\+308"):
@@ -282,8 +291,8 @@ class TestSizeGuard:
             assert nan.deviation(one) == one.deviation(nan) == math.inf
             assert not nan.equiv(nan)
         # D's entries are finite here, but the sum of their squares is not
-        big = choi_factor(_freeze(np.array([[1e100], [0.0]])), 1)
-        zero = choi_factor(_freeze(np.zeros((2, 1))), 1)
+        big = choi_factor(_freeze(np.array([[1e100], [0.0]])), 1, 2)
+        zero = choi_factor(_freeze(np.zeros((2, 1))), 1, 2)
         assert big.deviation(zero) == pytest.approx(1e200)
 
     def test_largest_workload_payload_fits(self):
