@@ -8,16 +8,15 @@ environment structures.
 """
 
 from . import cplane, fmat, matc  # noqa: F401  (imports register the models)
-from .cpinf import (Channel, ChoiMatrix, EnvStructure, KrausMorphism,
-                    canonical_env, channel, channel_action,
-                    channel_deviation, env_check, env_discard, equiv_decide,
-                    equiv_testmap_oracle, functor_N, functor_Q,
-                    initiality_probe, kraus_compose, kraus_dagger,
-                    kraus_identity, kraus_new, kraus_par, kraus_tensor,
-                    pure_decomposition, purify, to_choi)
+from .cpinf import (ChoiMatrix, EnvStructure, KrausMorphism, canonical_env,
+                    channel_action, channel_deviation, env_check,
+                    env_discard, equiv_decide, equiv_testmap_oracle,
+                    functor_N, functor_Q, initiality_probe, kraus_compose,
+                    kraus_dagger, kraus_identity, kraus_new, kraus_par,
+                    kraus_tensor, pure_decomposition, purify, to_choi)
 from .laws import LawCheckReport, catalog, check_law
-from .morphisms import (Morphism, compose, dagger, equal_up_to, get_model,
-                        identity, par, registered_models, tensor)
+from .morphisms import (Morphism, compose, dagger, get_model, identity, par,
+                        registered_models, tensor)
 from .objects import (BOT, TOP, Base, Dagger, Dual, ObjectExpr, Par, Tensor,
                       dag, dual)
 from .structural import STRUCTURAL_NAMES, signature, structural
@@ -26,12 +25,12 @@ from .suite import SuiteConfig, list_laws, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOT", "Base", "Channel", "ChoiMatrix", "Dagger", "Dual", "EnvStructure",
+    "BOT", "Base", "ChoiMatrix", "Dagger", "Dual", "EnvStructure",
     "KrausMorphism", "LawCheckReport", "Morphism", "ObjectExpr", "Par",
     "STRUCTURAL_NAMES", "SuiteConfig", "TOP", "Tensor", "canonical_env",
-    "catalog", "channel", "channel_action", "channel_deviation", "check_law",
+    "catalog", "channel_action", "channel_deviation", "check_law",
     "compose", "dag", "dagger", "dual", "env_check", "env_discard",
-    "equal_up_to", "equiv_decide", "equiv_testmap_oracle", "functor_N",
+    "equiv_decide", "equiv_testmap_oracle", "functor_N",
     "functor_Q", "get_model", "identity", "initiality_probe", "kraus_compose",
     "kraus_dagger", "kraus_identity", "kraus_new", "kraus_par",
     "kraus_tensor", "list_laws", "par", "pure_decomposition", "purify",

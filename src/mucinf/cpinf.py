@@ -201,27 +201,6 @@ def equiv_decide(k1: KrausMorphism, k2: KrausMorphism,
     return c1.equiv(c2, tol)
 
 
-@dataclass(frozen=True)
-class Channel:
-    """Equivalence-class handle: canonical form plus one representative."""
-
-    model: str
-    canonical: object  # what the model's ``canonical`` returns
-    representative: KrausMorphism
-
-    def equals(self, other: "Channel", tol: float = 1e-9) -> bool:
-        if self.model != other.model:
-            return False
-        try:
-            return self.canonical.equiv(other.canonical, tol)
-        except DomCodMismatch:
-            return False
-
-
-def channel(k: KrausMorphism) -> Channel:
-    return Channel(k.model, _model_of(k).canonical(k), k)
-
-
 # ---------------------------------------------------------------------------
 # the sampling oracle for the test-map definition of equivalence
 
@@ -508,7 +487,8 @@ def env_check(structure: EnvStructure, trials: int = 20,
               seed: Optional[int] = None, rng=None, tol: float = 1e-9):
     """Randomised verification of all environment axioms.
 
-    Returns one LawCheckReport per axiom; zero trials pass vacuously.
+    Returns one LawCheckReport per axiom; ``trials`` must be at least 1,
+    as ``run_trials`` refuses a run that would check nothing.
     """
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
@@ -523,8 +503,11 @@ def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
                      tol: float = 1e-7) -> dict:
     """Spot-check the comparison functor between two environment
     presentations on sampled channels.  This samples equations; it proves
-    nothing.
+    nothing, and with no sample it would check nothing, so ``samples`` must
+    be at least 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
     m = get_model(src.model)
@@ -535,7 +518,7 @@ def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
     checks = {"well_defined": 0, "functorial": 0, "identity": 0,
               "discard": 0}
     failures = []
-    for i in range(max(0, samples)):
+    for i in range(samples):
         k1 = random_channel(m, rng)
         k1_alt = equivalent_variant(rng, k1)
         k2 = random_channel(m, rng, k1.cod)

@@ -67,8 +67,9 @@ def _check_finite(x, what: str) -> float:
 
 def _dim(d: dict, key: str) -> int:
     x = d[key]
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypingError(f"{key!r} must be an integer, got {x!r}")
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise TypingError(f"{key!r} must be a non-negative integer, "
+                          f"got {x!r}")
     return x
 
 

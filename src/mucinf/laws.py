@@ -1,9 +1,12 @@
-"""Catalog of coherence laws as executable data.
+"""The one table of everything the suite checks, and the runner over it.
 
-Each law is an equation between two composites built solely out of named
-structural morphisms and the generic morphism algebra.  Laws are data (an id,
-an equation string, an arity, supported models and a builder), so the
-catalog can be enumerated, filtered and exported.
+``ENTRIES`` holds one row per check, keyed by id.  A ``"coherence"`` row is
+a MUC law: an equation between two composites built solely out of named
+structural morphisms and the generic morphism algebra, registered by
+``_law`` from a builder.  A ``"property"`` row is a check of the channel
+construction or of finiteness spaces, registered by ``_prop`` (the property
+bodies live in ``suite``).  ``check_law`` runs any row in one model, trial
+by trial, through ``run_trials``, the one code that folds deviations.
 
 Equation strings use diagram order (left factor first).  ``F`` is the
 functor from the unitary subcategory, ``m⊗/n⊕/m⊤/n⊥`` its strengths and
@@ -98,40 +101,58 @@ class LawContext:
 
 
 Builder = Callable[[LawContext], List[Tuple[Morphism, Morphism]]]
+# (model, rng, tol) -> (deviation, info); coherence rows also take objects=
+TrialFn = Callable[..., Tuple[float, Optional[dict]]]
 
 
 @dataclass(frozen=True)
-class Law:
-    law_id: str
+class Entry:
+    """One row of the table: a coherence law or a property."""
+
+    entry_id: str
     anchor: str
-    arity: int
     models: Tuple[str, ...]
-    build: Builder
-    needs_unitary: bool = False
+    kind: str
+    trial: TrialFn
+    arity: int = 0
     note: Optional[str] = None
 
 
-_CATALOG: Dict[str, Law] = {}
+ENTRIES: Dict[str, Entry] = {}
 
 
 def _law(law_id, anchor, arity, models=("mat", "cplane"),
          needs_unitary=False, note=None):
-    def deco(fn):
-        _CATALOG[law_id] = Law(law_id, anchor, arity, tuple(models), fn,
-                               needs_unitary, note)
-        return fn
+    def deco(build: Builder):
+        def trial(m: Model, rng, tol: float, objects=None):
+            if objects is None:
+                objects = [m.random_object(rng, unitary=needs_unitary)
+                           for _ in range(arity)]
+            dev = 0.0
+            for lhs, rhs in build(LawContext(m, list(objects), rng)):
+                if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
+                    raise MucinfError(
+                        f"sides of {law_id} are not parallel: "
+                        f"{lhs.dom}->{lhs.cod} vs {rhs.dom}->{rhs.cod}")
+                dev = fold_deviation(dev, deviation(lhs, rhs))
+            return dev, {"objects": [repr(o) for o in objects],
+                         "deviation": dev}
+        ENTRIES[law_id] = Entry(law_id, anchor, tuple(models), "coherence",
+                                trial, arity, note)
+        return build
     return deco
 
 
-def catalog() -> Dict[str, Law]:
-    return dict(_CATALOG)
+def _prop(entry_id: str, anchor: str, models=("mat",)):
+    def deco(trial: TrialFn):
+        ENTRIES[entry_id] = Entry(entry_id, anchor, tuple(models),
+                                  "property", trial)
+        return trial
+    return deco
 
 
-def get_law(law_id: str) -> Law:
-    try:
-        return _CATALOG[law_id]
-    except KeyError:
-        raise UnknownLaw(f"no law registered under {law_id!r}") from None
+def catalog() -> Dict[str, Entry]:
+    return dict(ENTRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +578,11 @@ def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
 
     A trial that raises is a failed one, and the run goes on.  The witness
     is the info of the first trial that reached the worst deviation above
-    ``tol``, with that trial's index.
+    ``tol``, with that trial's index.  Zero trials would check nothing and
+    pass, so ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     worst, witness = 0.0, None
     for index in range(trials):
         try:
@@ -575,36 +599,33 @@ def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
                           witness=witness, seed=seed, tol=tol)
 
 
-def check_law(law_id: str, model: Model | str, objects=None, rng=None,
-              tol: float = 1e-9, seed: Optional[int] = None) -> LawCheckReport:
-    """Build both sides of a law once and compare them, as one trial of
+def check_law(entry_id: str, model: Model | str, objects=None, rng=None,
+              tol: float = 1e-9, seed: Optional[int] = None,
+              trials: int = 1) -> LawCheckReport:
+    """Run ``trials`` trials of one entry in one model through
     ``run_trials``.
 
-    ``objects`` may be omitted, in which case they are sampled from the
-    model.  Raises UnsupportedInModel when the law is not available in the
-    model; every failure to build or match is reported as a failed check
-    with a witness.
+    A coherence law samples its objects from the model in each trial
+    unless ``objects`` is given; a property samples its own inputs and
+    takes none.  Raises UnsupportedInModel when the entry is not available
+    in the model; every failure to build or match is reported as a failed
+    check with a witness.
     """
-    law = get_law(law_id)
+    try:
+        entry = ENTRIES[entry_id]
+    except KeyError:
+        raise UnknownLaw(f"no law registered under {entry_id!r}") from None
     m = get_model(model) if isinstance(model, str) else model
-    if m.base not in law.models:
-        raise UnsupportedInModel(f"law {law_id} not available in {m.name}")
+    if m.base not in entry.models:
+        raise UnsupportedInModel(f"law {entry_id} not available in {m.name}")
+    extra = {}
+    if objects is not None:
+        if entry.kind != "coherence" or len(objects) != entry.arity:
+            raise ArityError(f"{entry.kind} {entry_id} takes "
+                             f"{entry.arity or 'no'} objects")
+        extra["objects"] = objects
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
-    if objects is None:
-        objects = [m.random_object(rng, unitary=law.needs_unitary)
-                   for _ in range(law.arity)]
-    if len(objects) != law.arity:
-        raise ArityError(f"law {law_id} takes {law.arity} objects")
-
-    def trial(rng):
-        dev = 0.0
-        for lhs, rhs in law.build(LawContext(m, list(objects), rng)):
-            if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
-                raise MucinfError(
-                    f"sides of {law_id} are not parallel: "
-                    f"{lhs.dom}->{lhs.cod} vs {rhs.dom}->{rhs.cod}")
-            dev = fold_deviation(dev, deviation(lhs, rhs))
-        return dev, {"objects": [repr(o) for o in objects], "deviation": dev}
-
-    return run_trials(law_id, m.name, trial, 1, rng, tol, seed)
+    return run_trials(entry_id, m.name,
+                      lambda rng: entry.trial(m, rng, tol, **extra),
+                      trials, rng, tol, seed)

@@ -249,6 +249,3 @@ def deviation(f: Morphism, g: Morphism) -> float:
         raise ShapeMismatch("morphisms are not parallel under interpretation")
     return m.deviation(f, g)
 
-
-def equal_up_to(f: Morphism, g: Morphism, tol: float) -> bool:
-    return deviation(f, g) <= tol

@@ -1,9 +1,11 @@
-"""Executable harness over the full law catalog plus channel properties.
+"""The property rows of the entry table, and the suite that runs it.
 
-Laws and properties are enumerable entries; a suite run produces one report
-per (entry, model) pair, deterministically for a given config: per-entry
-random streams are derived from the config seed and a stable digest of the
-entry id, so filtering does not shift anyone's stream.
+Properties of the channel construction and of finiteness spaces register
+here, through ``laws._prop``, in the same table as the coherence laws.  A
+suite run produces one report per (entry, model) pair, one ``check_law``
+call each, deterministically for a given config: per-entry random streams
+are derived from the config seed and a stable digest of the entry id, so
+filtering does not shift anyone's stream.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import fnmatch
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -21,10 +23,9 @@ from .fmat import (ALL, FIN, OMEGA, FiniteIndex, TagFamily,
                    check_finiteness_relation, check_finiteness_space,
                    explicit_family, family_subset, fmat_compose, fmat_dagger,
                    perp, power_family, sparse_deviation)
-from .laws import (LawCheckReport, catalog, check_law, fold_deviation,
-                   run_trials)
+from .laws import ENTRIES, LawCheckReport, _prop, check_law, fold_deviation
 from .matc import max_abs_diff, random_unitary
-from .morphisms import Model, Morphism, dagger, get_model, identity
+from .morphisms import Morphism, dagger, get_model, identity
 from .objects import Base, Par, Tensor
 from .structural import structural
 
@@ -38,34 +39,10 @@ class SuiteConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.trials < 0:
-            raise ValueError("trials must be >= 0")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-
-
-TrialFn = Callable[[Model, np.random.Generator, float],
-                   Tuple[float, Optional[dict]]]
-
-
-@dataclass(frozen=True)
-class Entry:
-    """A catalog law or a property, run trial by trial."""
-
-    entry_id: str
-    anchor: str
-    models: Tuple[str, ...]
-    trial: TrialFn
-
-
-_PROPERTIES: Dict[str, Entry] = {}
-
-
-def _prop(entry_id: str, anchor: str, models=("mat",)):
-    def deco(fn):
-        _PROPERTIES[entry_id] = Entry(entry_id, anchor, tuple(models), fn)
-        return fn
-    return deco
 
 
 # ---------------------------------------------------------------------------
@@ -405,48 +382,24 @@ def _entry_rng(seed: int, entry_id: str, model_name: str):
 
 
 def list_laws() -> List[dict]:
-    """Machine-readable catalog: coherence laws plus property entries."""
-    out = []
-    for law in sorted(catalog().values(), key=lambda l: l.law_id):
-        out.append({"id": law.law_id, "anchor": law.anchor,
-                    "arity": law.arity, "models": list(law.models),
-                    "kind": "coherence",
-                    **({"note": law.note} if law.note else {})})
-    for entry in sorted(_PROPERTIES.values(), key=lambda e: e.entry_id):
-        out.append({"id": entry.entry_id, "anchor": entry.anchor,
-                    "arity": 0, "models": list(entry.models),
-                    "kind": "property"})
-    return out
-
-
-def _law_trial(law) -> TrialFn:
-    """One catalog law as a trial: sample its objects, check it once."""
-    def trial(model, rng, tol):
-        rep = check_law(law.law_id, model, rng=rng, tol=tol)
-        return rep.max_abs_deviation, rep.witness
-    return trial
-
-
-def _run_entry(entry: Entry, model: Model,
-               cfg: SuiteConfig) -> LawCheckReport:
-    """Every trial of one entry in one model, on the entry's own stream."""
-    return run_trials(entry.entry_id, model.name,
-                      lambda rng: entry.trial(model, rng, cfg.tol),
-                      cfg.trials,
-                      _entry_rng(cfg.seed, entry.entry_id, model.name),
-                      cfg.tol, cfg.seed)
+    """Machine-readable table: coherence laws, then properties, by id."""
+    return [{"id": e.entry_id, "anchor": e.anchor, "arity": e.arity,
+             "models": list(e.models), "kind": e.kind,
+             **({"note": e.note} if e.note else {})}
+            for e in sorted(ENTRIES.values(),
+                            key=lambda e: (e.kind != "coherence", e.entry_id))]
 
 
 def run_suite(cfg: SuiteConfig) -> List[LawCheckReport]:
     """One report per (entry, model) pair, deterministic for a given config."""
     models = [get_model(name) for name in cfg.models]
-    entries = [Entry(law.law_id, law.anchor, law.models, _law_trial(law))
-               for law in catalog().values()] + list(_PROPERTIES.values())
-    chosen = [e for e in entries
+    chosen = [e for e in ENTRIES.values()
               if fnmatch.fnmatch(e.entry_id, cfg.law_filter)]
     if not chosen:
         raise UnknownLaw(f"filter {cfg.law_filter!r} matches no law")
-    reports = [_run_entry(entry, m, cfg) for entry in chosen
-               for m in models if m.base in entry.models]
+    reports = [check_law(e.entry_id, m,
+                         rng=_entry_rng(cfg.seed, e.entry_id, m.name),
+                         tol=cfg.tol, seed=cfg.seed, trials=cfg.trials)
+               for e in chosen for m in models if m.base in e.models]
     reports.sort(key=lambda r: (r.law, r.model))
     return reports

@@ -203,6 +203,38 @@ def test_non_integral_dimension_exits_two(tmp_path, capsys):
     assert code == 2 and "TypingError" in err
 
 
+@pytest.mark.parametrize("command, field", [
+    ("channel-choi", "dom"), ("channel-choi", "cod"),
+    ("channel-choi", "ancilla"), ("channel-choi", "body.rows"),
+    ("channel-choi", "body.cols"), ("channel-purify", "rows"),
+    ("channel-purify", "cols"), ("channel-purify", "a"),
+    ("channel-purify", "b")])
+def test_a_negative_dimension_names_its_field(tmp_path, capsys, command,
+                                              field):
+    k = cpinf.random_channel(MAT, RNG, Base(2), Base(2), Base(1))
+    d = (jsonio.channel_to_json(k) if command == "channel-choi"
+         else jsonio.choi_to_json(cpinf.to_choi(k)))
+    *outer, key = field.split(".")
+    target = d
+    for name in outer:
+        target = target[name]
+    target[key] = -1
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(d))
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert err == (f"error: TypingError: '{key}' must be a non-negative "
+                   f"integer, got -1\n")
+
+
+def test_zero_trials_exit_two(capsys):
+    # no trial checks nothing, and must not print passing reports
+    code, out, err = run(capsys, "laws-run", "--trials", "0",
+                         "--filter", "DMIX")
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: trials must be >= 1, got 0\n"
+
+
 def test_channel_of_the_wrong_shape_exits_two(tmp_path, capsys):
     p = tmp_path / "k.json"
     p.write_text("[1, 2]")

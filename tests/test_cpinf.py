@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucinf import cpinf, fmat, laws, matc, suite
-from mucinf.cpinf import (EnvStructure, canonical_env, channel,
-                          channel_action, channel_deviation, env_check,
+from mucinf.cpinf import (EnvStructure, canonical_env, channel_action, channel_deviation, env_check,
                           env_discard, env_factor, equiv_decide,
                           equiv_testmap_oracle, equivalent_variant,
                           functor_N, functor_Q, initiality_probe,
@@ -375,15 +374,16 @@ class TestEquivalence:
 
     def test_channel_handles(self):
         k = random_channel(MAT, RNG)
-        assert channel(k).equals(channel(equivalent_variant(RNG, k)))
+        assert equiv_decide(k, equivalent_variant(RNG, k))
 
     def test_cplane_channel_handles(self):
-        into_zero = channel(cp_kraus(0, 2, 0))
-        assert into_zero.canonical == (0j, 0j, None)
-        pinned = channel(cp_kraus(6, 2, 3))
-        assert pinned.canonical == (6 + 0j, 3 + 0j, 2.0)
-        assert into_zero.equals(channel(cp_kraus(0, 5, 0)))
-        assert not pinned.equals(into_zero)
+        cp = get_model("cplane")
+        into_zero, pinned = cp_kraus(0, 2, 0), cp_kraus(6, 2, 3)
+        assert cp.canonical(into_zero) == (0j, 0j, None)
+        assert cp.canonical(pinned) == (6 + 0j, 3 + 0j, 2.0)
+        assert equiv_decide(into_zero, cp_kraus(0, 5, 0))
+        with pytest.raises(DomCodMismatch):
+            equiv_decide(pinned, into_zero)
 
 
 class TestPureDecomposition:
@@ -497,9 +497,10 @@ class TestEnvironment:
                                             "Env.3"]
         assert all(r.passed for r in reports)
 
-    def test_zero_trials_vacuous(self):
-        reports = env_check(canonical_env(), trials=0, seed=2)
-        assert all(r.passed and r.trials == 0 for r in reports)
+    def test_zero_trials_are_refused(self):
+        # no trial checks nothing, and must not read as a pass
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            env_check(canonical_env(), trials=0, seed=2)
 
     def test_halved_trace_fails_first_axiom(self):
         def halved(u_expr):
@@ -585,9 +586,10 @@ class TestInitiality:
         report = initiality_probe(canonical_env(), tgt, samples=10, seed=8)
         assert report["consistent"]
 
-    def test_zero_samples_vacuous(self):
+    def test_zero_samples_are_refused(self):
         env = canonical_env()
-        assert initiality_probe(env, env, samples=0)["consistent"]
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            initiality_probe(env, env, samples=0)
 
     def test_compares_at_the_tolerance_it_reports(self):
         # a discard off by a relative 1e-6 passes a loose probe only
@@ -683,7 +685,7 @@ class TestFmatChannels:
             return kraus_new(Morphism("fmat", two, Par(u, two), payload), u)
 
         zero = kraus(empty, ())
-        form = channel(zero).canonical
+        form = fm.canonical(zero)
         assert form.factor.shape == (4, 0)
         assert (form.dim_in, form.dim_out) == (2, 2)
         assert equiv_decide(zero, zero)
@@ -720,7 +722,8 @@ class TestCanonicalForms:
         for a, b, u in [(1, 1, 1), (2, 3, 2), (3, 2, 3)]:
             k = fmat_kraus(rng, a, b, u)
             dense = make_kraus(to_dense(k.body.payload), a, b, u)
-            form, reference = channel(k).canonical, MAT.canonical(dense)
+            form = get_model("fmat").canonical(k)
+            reference = MAT.canonical(dense)
             assert np.array_equal(form.factor, reference.factor)
             assert (form.dim_in, form.dim_out) == (a, b)
             assert form.deviation(reference) <= 1e-12
@@ -810,20 +813,23 @@ class TestCanonicalForms:
 
     def test_equals_compares_the_stored_forms(self, monkeypatch):
         k = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
-        same = channel(k), channel(equivalent_variant(RNG, k))
-        other = channel(random_channel(MAT, RNG, Base(2), Base(2), Base(2)))
-        wider = channel(random_channel(MAT, RNG, Base(2), Base(3), Base(2)))
+        same = MAT.canonical(k), MAT.canonical(equivalent_variant(RNG, k))
+        other = MAT.canonical(
+            random_channel(MAT, RNG, Base(2), Base(2), Base(2)))
+        wider = MAT.canonical(
+            random_channel(MAT, RNG, Base(2), Base(3), Base(2)))
 
         def recompute(_):
-            raise AssertionError("equals recomputed a canonical form")
+            raise AssertionError("equiv recomputed a canonical form")
 
         monkeypatch.setattr(MAT, "canonical", recompute)
-        assert same[0].equals(same[1])
-        assert not same[0].equals(other)
-        assert not same[0].equals(wider)
+        assert same[0].equiv(same[1])
+        assert not same[0].equiv(other)
+        with pytest.raises(DomCodMismatch):
+            same[0].equiv(wider)
 
     def test_cplane_form_is_exact_whatever_the_tolerance(self):
-        pinned = channel(cp_kraus(6, 2, 3)).canonical
+        pinned = get_model("cplane").canonical(cp_kraus(6, 2, 3))
         assert isinstance(pinned, CplaneChannel) and pinned.ratio == 2.0
         near = CplaneChannel(6 + 0j, 3 + 0j, 2.0 + 1e-6)
         assert not pinned.equiv(near, tol=1.0)

@@ -1,5 +1,6 @@
 """Bit-identity guards: the seed-7, 100-trial suite keeps every deviation,
-and the CLI channel round trip keeps every byte it writes.
+the entry table keeps its listing, and the CLI channel round trip keeps
+every byte it writes.
 
 A suite digest is sha256 over the sorted ``(law, model,
 repr(max_abs_deviation))`` rows of one run, the same formula as the
@@ -47,6 +48,17 @@ def test_mutant_deviations_are_bit_identical():
                                              trials=25, seed=0))
     assert (len(reports), sum(not r.passed for r in reports)) == (319, 33)
     assert laws_digest(reports) == MUTANTS_DIGEST
+
+
+# sha256 of ``mucinf laws-list --seed 0`` stdout: every entry's id, anchor,
+# arity, models, kind and note, coherence laws first, each group by id
+LAWS_LIST_DIGEST = "8448b007950c74fe"
+
+
+def test_laws_list_bytes_are_pinned(capsys):
+    assert main(["laws-list", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == LAWS_LIST_DIGEST
 
 
 # compose -> choi -> purify -> equiv through cli.main on the channels below:

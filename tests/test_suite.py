@@ -7,12 +7,14 @@ import pytest
 
 from mucinf import cpinf
 from mucinf.cplane import CplaneModel
-from mucinf.errors import UnknownLaw, UnknownModel
+from mucinf.errors import ArityError, UnknownLaw, UnknownModel
 from mucinf.fmat import FmatModel, explicit_family, finite_space
 from mucinf.laws import check_law
 from mucinf.matc import MatModel
 from mucinf.morphisms import compose, get_model, identity, registered_models
+from mucinf.objects import Base
 from mucinf.suite import SuiteConfig, list_laws, run_suite
+from mucinf.suite import _entry_rng as suite_stream
 from mutants import (MUTANTS, CrashingCup, NanMix, ScaledMix, SkewLaxor,
                      SwapLaxor, registered)
 
@@ -48,10 +50,13 @@ def test_filtering():
         run_suite(SuiteConfig(trials=1, law_filter="NOPE-*"))
 
 
-def test_zero_trials_pass_vacuously():
-    reps = run_suite(SuiteConfig(trials=0, seed=9))
-    assert reps and all(r.passed and r.max_abs_deviation == 0.0
-                        for r in reps)
+def test_zero_trials_are_refused():
+    # no trial checks nothing, and must not read as a pass
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            SuiteConfig(trials=trials, seed=9)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_law("DMIX", "mat", trials=trials)
 
 
 def test_discrete_model_catalog_is_exact():
@@ -252,16 +257,34 @@ def test_env_entries_read_the_one_axiom_table():
                for e in env.values())
 
 
-def test_catalog_trials_look_up_check_law_when_run(monkeypatch):
-    # a wrapper installed after import (as a tracer does) sees every trial
+def test_a_wrapper_sees_one_check_law_call_per_report(monkeypatch):
+    # a wrapper installed after import (as a tracer does) sees the suite's
+    # one call per (entry, model) report, for laws and properties alike
     from mucinf import suite
     seen = []
     original = suite.check_law
 
-    def counting(*args, **kwargs):
-        seen.append(args[0])
-        return original(*args, **kwargs)
+    def counting(entry_id, model, **kwargs):
+        seen.append((entry_id, model.name, kwargs["trials"]))
+        return original(entry_id, model, **kwargs)
 
     monkeypatch.setattr(suite, "check_law", counting)
-    run_suite(SuiteConfig(models=("mat",), trials=3, law_filter="DLDC7a"))
-    assert seen == ["DLDC7a"] * 3
+    reps = run_suite(SuiteConfig(trials=2))
+    assert sorted(seen) == [(r.law, r.model, 2) for r in reps]
+    assert {"DLDC7a", "CP-DAG-INV"} <= {law for law, _, _ in seen}
+
+
+def test_check_law_runs_a_property_like_the_suite():
+    (rep,) = run_suite(SuiteConfig(models=("mat",), trials=4, seed=5,
+                                   law_filter="CP-DAG-INV"))
+    rng = suite_stream(5, "CP-DAG-INV", "mat")
+    again = check_law("CP-DAG-INV", "mat", rng=rng, seed=5, trials=4)
+    assert again == rep and rep.passed and rep.trials == 4
+    assert check_law("CP-DAG-INV", "mat", seed=1).trials == 1
+
+
+def test_a_property_takes_no_objects():
+    with pytest.raises(ArityError):
+        check_law("CP-DAG-INV", "mat", [Base(2)])
+    with pytest.raises(ArityError):
+        check_law("CP-DAG-INV", "mat", [])
