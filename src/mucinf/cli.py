@@ -5,8 +5,9 @@ codes: 0 success (for ``channel-equiv``: equivalent), 1 law failure or
 inequivalence, 2 usage or I/O error.  ``MUC_CPINF_SEED`` provides the seed
 when ``--seed`` is absent; ``--tol`` must be positive and finite.
 
-The parser is built once per process, on the first ``main`` call, and
-shared by every later call: ``parse_args`` keeps no state between calls.
+``COMMANDS`` is the one table of subcommands: ``build_parser`` adds one
+subparser per row, once per process (``parse_args`` keeps no state between
+calls), and ``main`` runs the chosen row's handler and writes its output.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,12 +36,8 @@ def _default_seed() -> int:
 
 
 def _emit(payload, out_path, seed, tol):
-    if isinstance(payload, dict):
-        payload = dict(payload)
-        payload.setdefault("seed", seed)
-        payload.setdefault("tol", tol)
     text = payload if isinstance(payload, str) else json.dumps(
-        payload, sort_keys=True, indent=None)
+        {"seed": seed, "tol": tol, **payload}, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -50,6 +48,67 @@ def _emit(payload, out_path, seed, tol):
 def _load(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def _channel(path):
+    return jsonio.channel_from_json(_load(path))
+
+
+def _laws_run(args, seed, tol):
+    reports = run_suite(SuiteConfig(
+        models=tuple(args.model or ("mat", "cplane", "fmat")),
+        law_filter=args.law_filter, trials=args.trials, seed=seed, tol=tol))
+    return ("\n".join(jsonio.reports_to_lines(reports)),
+            all(r.passed for r in reports))
+
+
+def _channel_equiv(args, seed, tol):
+    dev = cpinf.channel_deviation(_channel(args.first), _channel(args.second))
+    # phrased so that NaN, which fails every comparison, is inequivalent
+    verdict = bool(dev <= tol)
+    return {"equivalent": verdict, "deviation": dev}, verdict
+
+
+def _fmat_check(args, seed, tol):
+    report = jsonio.fmat_check_report(_load(args.matrix))
+    return report, report["valid"]
+
+
+Command = namedtuple("Command", "help positionals handler options",
+                     defaults=((),))
+
+# a row per subcommand, in --help order; a help of None leaves it unlisted;
+# handler(args, seed, tol) -> (output, ok) looks its callees up when it runs
+COMMANDS = {
+    "laws-run": Command(
+        "run the law suite and print one report per line", (), _laws_run,
+        (("--model", dict(action="append", choices=("mat", "fmat", "cplane"),
+                          default=None, help="restrict to a model "
+                          "(repeatable; default: all)")),
+         ("--trials", dict(type=int, default=100)),
+         ("--filter", dict(dest="law_filter", default="*",
+                           help="glob over law ids")))),
+    "laws-list": Command("print the machine-readable law catalog", (),
+                         lambda *_: ({"laws": list_laws()}, True)),
+    "channel-compose": Command(None, ("first", "second"), lambda args, *_: (
+        jsonio.channel_to_json(cpinf.kraus_compose(
+            _channel(args.first), _channel(args.second))), True)),
+    "channel-equiv": Command(None, ("first", "second"), _channel_equiv),
+    "channel-choi": Command(None, ("channel",), lambda args, *_: (
+        jsonio.choi_to_json(cpinf.to_choi(_channel(args.channel))), True)),
+    "channel-decompose": Command(None, ("channel",), lambda args, *_: (
+        {"kraus": [jsonio.matrix_to_json(b) for b in
+                   cpinf.pure_decomposition(_channel(args.channel))]}, True)),
+    "channel-purify": Command(None, ("choi",), lambda args, *_: (
+        jsonio.channel_to_json(cpinf.purify(
+            jsonio.choi_from_json(_load(args.choi)))), True)),
+    "channel-apply": Command(
+        None, ("channel", "density"), lambda args, _, tol: (
+            jsonio.matrix_to_json(cpinf.channel_action(
+                _channel(args.channel),
+                jsonio.matrix_from_json(_load(args.density)), tol)), True)),
+    "fmat-check": Command(None, ("matrix",), _fmat_check),
+}
 
 
 @functools.cache
@@ -65,42 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output here "
                         "instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("laws-run", parents=[common],
-                       help="run the law suite and print one report per line")
-    p.add_argument("--model", action="append",
-                   choices=("mat", "fmat", "cplane"), default=None,
-                   help="restrict to a model (repeatable; default: all)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--filter", dest="law_filter", default="*",
-                   help="glob over law ids")
-
-    sub.add_parser("laws-list", parents=[common],
-                   help="print the machine-readable law catalog")
-
-    p = sub.add_parser("channel-compose", parents=[common])
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = sub.add_parser("channel-equiv", parents=[common])
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = sub.add_parser("channel-choi", parents=[common])
-    p.add_argument("channel")
-
-    p = sub.add_parser("channel-decompose", parents=[common])
-    p.add_argument("channel")
-
-    p = sub.add_parser("channel-purify", parents=[common])
-    p.add_argument("choi")
-
-    p = sub.add_parser("channel-apply", parents=[common])
-    p.add_argument("channel")
-    p.add_argument("density")
-
-    p = sub.add_parser("fmat-check", parents=[common])
-    p.add_argument("matrix")
+    for name, row in COMMANDS.items():
+        # any help= keyword, even None, lists the subcommand in --help
+        listed = {"help": row.help} if row.help else {}
+        p = sub.add_parser(name, parents=[common], **listed)
+        for positional in row.positionals:
+            p.add_argument(positional)
+        for flag, kwargs in row.options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -108,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 # than numpy warnings; scoped to the call, as callers may run main in-process
 @np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     tol = args.tol
     try:
         # positive as in SuiteConfig, and finite, as JSON has no NaN or inf
@@ -117,73 +147,13 @@ def main(argv=None) -> int:
             raise ValueError(f"tolerance must be positive and finite, "
                              f"got {tol}")
         seed = args.seed if args.seed is not None else _default_seed()
-        if args.command == "laws-run":
-            models = tuple(args.model) if args.model \
-                else ("mat", "cplane", "fmat")
-            cfg = SuiteConfig(models=models, law_filter=args.law_filter,
-                              trials=args.trials, seed=seed, tol=tol)
-            reports = run_suite(cfg)
-            text = "\n".join(jsonio.reports_to_lines(reports))
-            _emit(text, args.out, seed, tol)
-            return 0 if all(r.passed for r in reports) else 1
-
-        if args.command == "laws-list":
-            _emit({"laws": list_laws()}, args.out, seed, tol)
-            return 0
-
-        if args.command == "channel-compose":
-            k1 = jsonio.channel_from_json(_load(args.first))
-            k2 = jsonio.channel_from_json(_load(args.second))
-            _emit(jsonio.channel_to_json(cpinf.kraus_compose(k1, k2)),
-                  args.out, seed, tol)
-            return 0
-
-        if args.command == "channel-equiv":
-            k1 = jsonio.channel_from_json(_load(args.first))
-            k2 = jsonio.channel_from_json(_load(args.second))
-            dev = cpinf.channel_deviation(k1, k2)
-            # phrased so that NaN, which fails every comparison, is
-            # inequivalent
-            verdict = bool(dev <= tol)
-            _emit({"equivalent": verdict, "deviation": dev},
-                  args.out, seed, tol)
-            return 0 if verdict else 1
-
-        if args.command == "channel-choi":
-            k = jsonio.channel_from_json(_load(args.channel))
-            _emit(jsonio.choi_to_json(cpinf.to_choi(k)), args.out, seed, tol)
-            return 0
-
-        if args.command == "channel-decompose":
-            k = jsonio.channel_from_json(_load(args.channel))
-            blocks = cpinf.pure_decomposition(k)
-            _emit({"kraus": [jsonio.matrix_to_json(b) for b in blocks]},
-                  args.out, seed, tol)
-            return 0
-
-        if args.command == "channel-purify":
-            choi = jsonio.choi_from_json(_load(args.choi))
-            _emit(jsonio.channel_to_json(cpinf.purify(choi)),
-                  args.out, seed, tol)
-            return 0
-
-        if args.command == "channel-apply":
-            k = jsonio.channel_from_json(_load(args.channel))
-            rho = jsonio.matrix_from_json(_load(args.density))
-            _emit(jsonio.matrix_to_json(cpinf.channel_action(k, rho, tol)),
-                  args.out, seed, tol)
-            return 0
-
-        if args.command == "fmat-check":
-            report = jsonio.fmat_check_report(_load(args.matrix))
-            _emit(report, args.out, seed, tol)
-            return 0 if report["valid"] else 1
-
+        output, ok = COMMANDS[args.command].handler(args, seed, tol)
+        _emit(output, args.out, seed, tol)
+        return 0 if ok else 1
     except (MucinfError, OSError, KeyError, ValueError,
             json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

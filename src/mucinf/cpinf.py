@@ -265,8 +265,11 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
     both sides is built once per ``(c, x)`` dimension pair in a call, and
     each trial glues only the test map and its dagger into it; every
     product step goes through ``then_tensor``/``then_par``, so a model may
-    apply it without forming the product.
+    apply it without forming the product.  No trial would vouch for any
+    pair, so ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     m = _dense(k1.model)
     if (m.interpret(k1.dom) != m.interpret(k2.dom)
             or m.interpret(k1.cod) != m.interpret(k2.cod)):

@@ -391,15 +391,17 @@ def list_laws() -> List[dict]:
 
 
 def run_suite(cfg: SuiteConfig) -> List[LawCheckReport]:
-    """One report per (entry, model) pair, deterministic for a given config."""
+    """One report per chosen (entry, model), deterministic; none is an error."""
     models = [get_model(name) for name in cfg.models]
-    chosen = [e for e in ENTRIES.values()
-              if fnmatch.fnmatch(e.entry_id, cfg.law_filter)]
-    if not chosen:
-        raise UnknownLaw(f"filter {cfg.law_filter!r} matches no law")
+    pairs = [(e, m) for e in ENTRIES.values()
+             if fnmatch.fnmatch(e.entry_id, cfg.law_filter)
+             for m in models if m.base in e.models]
+    if not pairs:
+        raise UnknownLaw(f"filter {cfg.law_filter!r} selects no law of "
+                         f"models {list(cfg.models)}")
     reports = [check_law(e.entry_id, m,
                          rng=_entry_rng(cfg.seed, e.entry_id, m.name),
                          tol=cfg.tol, seed=cfg.seed, trials=cfg.trials)
-               for e in chosen for m in models if m.base in e.models]
+               for e, m in pairs]
     reports.sort(key=lambda r: (r.law, r.model))
     return reports

@@ -1,12 +1,16 @@
 import argparse
+import hashlib
 import json
+import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mucinf import cpinf, jsonio
+from mucinf import cli, cpinf, jsonio
 from mucinf.cli import build_parser, main
+from mucinf.fmat import include_mat
 from mucinf.matc import MAT
 from mucinf.objects import Base
 
@@ -149,7 +153,6 @@ def test_laws_list(capsys):
 
 
 def test_fmat_check(tmp_path, capsys):
-    from mucinf.fmat import include_mat
     m = include_mat(np.eye(2))
     good = tmp_path / "good.json"
     good.write_text(json.dumps(jsonio.fmat_to_json(m)))
@@ -233,6 +236,15 @@ def test_zero_trials_exit_two(capsys):
                          "--filter", "DMIX")
     assert (code, out) == (2, "")
     assert err == "error: ValueError: trials must be >= 1, got 0\n"
+
+
+def test_a_filter_selecting_no_pair_exits_two(capsys):
+    # DLDC1a is an entry, but not one that fmat carries
+    code, out, err = run(capsys, "laws-run", "--model", "fmat",
+                         "--filter", "DLDC1a")
+    assert (code, out) == (2, "")
+    assert err == ("error: UnknownLaw: filter 'DLDC1a' selects no law of "
+                   "models ['fmat']\n")
 
 
 def test_channel_of_the_wrong_shape_exits_two(tmp_path, capsys):
@@ -331,23 +343,118 @@ def test_a_huge_integer_entry_exits_two(tmp_path, capsys):
     assert err == "error: TypingError: non-finite number in matrix\n"
 
 
-_COMMANDS = (["laws-run"], ["laws-list"], ["channel-compose", "k", "k"],
-             ["channel-equiv", "k", "k"], ["channel-choi", "k"],
-             ["channel-decompose", "k"], ["channel-purify", "c"],
-             ["channel-apply", "k", "rho"], ["fmat-check", "m"])
+def _fixtures():
+    """A valid input document for each positional of the command table."""
+    k = cpinf.kraus_identity("mat", Base(2))
+    channel = jsonio.channel_to_json(k)
+    return {"first": channel, "second": channel, "channel": channel,
+            "choi": jsonio.choi_to_json(cpinf.to_choi(k)),
+            "density": jsonio.matrix_to_json(np.eye(2) / 2),
+            "matrix": jsonio.fmat_to_json(include_mat(np.eye(2)))}
+
+
+def _commands(tmp_path):
+    """One argv per row of ``cli.COMMANDS``, a fixture file per positional."""
+    paths = {}
+    for name, doc in _fixtures().items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return [[name, *(str(paths[arg]) for arg in row.positionals)]
+            for name, row in cli.COMMANDS.items()]
+
+
+def test_every_row_runs_on_its_fixtures(tmp_path, capsys):
+    quick = {"laws-run": ["--trials", "1", "--filter", "DMIX"]}
+    for argv in _commands(tmp_path):
+        code, out, err = run(capsys, *argv, *quick.get(argv[0], []))
+        assert (code, err) == (0, ""), argv
+        assert [json.loads(line) for line in out.splitlines()], argv
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_a_tolerance_not_positive_and_finite_exits_two(tmp_path, capsys,
                                                        tol):
-    k = write_channel(tmp_path / "k.json",
-                      cpinf.kraus_identity("mat", Base(2)))
-    for command in _COMMANDS:
-        argv = [k if arg == "k" else arg for arg in command]
+    for argv in _commands(tmp_path):
         code, out, err = run(capsys, *argv, "--tol", tol)
-        assert (code, out) == (2, ""), command
+        assert (code, out) == (2, ""), argv
         assert err.startswith("error: ValueError: tolerance must be "
                               "positive and finite") and err.count("\n") == 1
+
+
+def _help(capsys, monkeypatch, *argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+# sha256 of ``mucinf --help`` ("") and of each ``mucinf <cmd> --help`` at
+# 80 columns, as the hand-written parser printed them
+_HELP_SHA256 = {
+    "": "2945778cf0ee8c671b8d443d1a1b379989759ce7683de31563221f748c5a596f",
+    "laws-run":
+        "9e471b5f463aceb286d1c0d7f3bf28e15ec9b24f230baff6d9e995784cc2e886",
+    "laws-list":
+        "af83bd1895ce8e62b3919c8b8c1f8359ad6aabcc5a970f1a53ac874882264764",
+    "channel-compose":
+        "aaa88b7b334f2627fdbf13dd959d35619685e2463bc59b6c0bd4e721ce713cb4",
+    "channel-equiv":
+        "274af701ccc05a2c1561cbfedf4652442a3fd677d402d1ff85747ba3e2a1c6cc",
+    "channel-choi":
+        "6357db1e3ea553c318ab953f780ee9371658e6f81bde83b06e64bd9ef0db6a59",
+    "channel-decompose":
+        "494a58c67c7e1a29bab06838f2786dddfa25b59961b0b0907e0350c7cab03dd7",
+    "channel-purify":
+        "50c6029953c3b58db85fcbcbd94d6648abb533e50147076b82cea0c385696134",
+    "channel-apply":
+        "33a5a31fe28bafc31e4331eac0e91dba180376cf66becac402da2274f0be343f",
+    "fmat-check":
+        "b446671f7b81fe0919154990697f363a0d6a58d19ef02d3fe61d01918813347c",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently elsewhere")
+@pytest.mark.parametrize("command", list(_HELP_SHA256))
+def test_help_bytes_are_pinned(capsys, monkeypatch, command):
+    text = _help(capsys, monkeypatch, *filter(None, [command]))
+    assert hashlib.sha256(text.encode()).hexdigest() == _HELP_SHA256[command]
+
+
+def test_help_lists_exactly_the_table(capsys, monkeypatch):
+    assert sorted(_HELP_SHA256) == sorted(["", *cli.COMMANDS])
+    text = _help(capsys, monkeypatch)
+    choices = re.search(r"\{([^}]*)\}", text).group(1)
+    assert choices.split(",") == list(cli.COMMANDS)
+    # only rows with a help text are described, in table order
+    described = re.findall(r"^    (\S+)  +\S", text, re.MULTILINE)
+    assert described == [name for name, row in cli.COMMANDS.items()
+                         if row.help]
+
+
+def test_wrappers_installed_after_import_see_every_call(tmp_path, capsys,
+                                                        monkeypatch):
+    # the benchmark's layer tracer swaps module attributes by name after
+    # import; a handler that captured a function at import would escape it
+    seen = []
+
+    def wrap(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: seen.append(name)
+                            or original(*a, **kw))
+
+    wrap(jsonio, "channel_from_json")
+    wrap(cpinf, "kraus_compose")
+    wrap(cli, "_emit")
+    k = write_channel(tmp_path / "k.json",
+                      cpinf.kraus_identity("mat", Base(2)))
+    for _ in range(2):
+        assert run(capsys, "channel-compose", k, k)[0] == 0
+    assert run(capsys, "channel-choi", k)[0] == 0
+    assert seen == ["channel_from_json", "channel_from_json",
+                    "kraus_compose", "_emit"] * 2 + ["channel_from_json",
+                                                     "_emit"]
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):

@@ -265,9 +265,13 @@ class TestEquivalence:
         assert not out["consistent"]
         assert out["witness"]["trial"] == 0
 
-    def test_oracle_zero_trials_vacuous(self):
+    def test_oracle_zero_trials_are_refused(self):
+        # no test map separates nothing, and must not read as consistent
         k1, k2 = cpinf.distinct_pair(MAT, RNG, Base(2), Base(2))
-        assert equiv_testmap_oracle(k1, k2, trials=0, rng=RNG)["consistent"]
+        for trials in (0, -3):
+            with pytest.raises(ValueError,
+                               match=f"trials must be >= 1, got {trials}"):
+                equiv_testmap_oracle(k1, k2, trials=trials, rng=RNG)
 
     def test_oracle_builds_no_identity_matrix(self):
         # each side glues structural maps of dimension u*b*c = 512, whose

@@ -50,6 +50,17 @@ def test_filtering():
         run_suite(SuiteConfig(trials=1, law_filter="NOPE-*"))
 
 
+@pytest.mark.parametrize("models, law_filter", [
+    (("fmat",), "DLDC1a"), (("cplane",), "CP-DAG-*"), ((), "*")])
+def test_a_filter_selecting_no_pair_is_refused(models, law_filter):
+    # the filter matches entries, but none that a chosen model carries: an
+    # empty report list would pass vacuously, as zero trials would
+    with pytest.raises(UnknownLaw) as exc:
+        run_suite(SuiteConfig(models=models, law_filter=law_filter, trials=1))
+    assert str(exc.value) == (f"filter {law_filter!r} selects no law of "
+                              f"models {list(models)}")
+
+
 def test_zero_trials_are_refused():
     # no trial checks nothing, and must not read as a pass
     for trials in (0, -1):
