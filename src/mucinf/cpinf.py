@@ -423,29 +423,34 @@ def env_factor(structure: EnvStructure, k: KrausMorphism) -> KrausMorphism:
     return kraus_compose(kraus_compose(pure, dis), unit)
 
 
-def _discards_glued(structure: EnvStructure, rng, comparison: str):
-    """Two unitary objects ``u, v``, and Env.1's left side: the comparison
-    map on them, the par of their discards, then the unit glue."""
+def _unitary_pair(m: Model, rng) -> tuple:
+    """The two unitary objects ``u, v`` an Env.1 trial is a function of."""
+    return tuple(m.random_chain(rng, 1, unitary=True))
+
+
+def _discards_glued(structure: EnvStructure, pair, comparison: str):
+    """Env.1's left side on the drawn ``u, v``: the comparison map on them,
+    the par of their discards, then the unit glue."""
     m = _dense(structure.model)
-    u_expr, v_expr = m.random_chain(rng, 1, unitary=True)
-    pair = kraus_par(structure.discard(u_expr), structure.discard(v_expr))
+    u_expr, v_expr = pair
+    discards = kraus_par(structure.discard(u_expr), structure.discard(v_expr))
     lhs = kraus_compose(kraus_compose(
         structure.functor(structural(m, comparison, [u_expr, v_expr])),
-        pair), structure.functor(structural(m, "u_par_l", [BOT])))
+        discards), structure.functor(structural(m, "u_par_l", [BOT])))
     return m, u_expr, v_expr, lhs
 
 
-def _env_tensor(structure: EnvStructure, rng, tol: float):
+def _env_tensor(structure: EnvStructure, rng, pair, tol: float):
     # discarding a tensor = tensor of discards, glued by the unit
-    m, u_expr, v_expr, lhs = _discards_glued(structure, rng, "mx")
+    m, u_expr, v_expr, lhs = _discards_glued(structure, pair, "mx")
     rhs = kraus_compose(
         structure.functor(structural(m, "m_tensor", [u_expr, v_expr])),
         structure.discard(Tensor(u_expr, v_expr)))
     return channel_deviation(lhs, rhs), {"u": u_expr.label, "v": v_expr.label}
 
 
-def _env_par(structure: EnvStructure, rng, tol: float):
-    _, u_expr, v_expr, lhs = _discards_glued(structure, rng, "n_par")
+def _env_par(structure: EnvStructure, rng, pair, tol: float):
+    _, u_expr, v_expr, lhs = _discards_glued(structure, pair, "n_par")
     rhs = structure.discard(Par(u_expr, v_expr))
     return channel_deviation(lhs, rhs), {"u": u_expr.label, "v": v_expr.label}
 
@@ -477,13 +482,16 @@ def _env_purifies(structure: EnvStructure, rng, tol: float):
 
 
 # each environment axiom: its anchor, and one randomised instance as a
-# trial ``(structure, rng, tol) -> (deviation, info)``
+# trial ``(structure, rng, tol) -> (deviation, info)``; an axiom in
+# ENV_INPUTS is a function of the inputs its sampler ``(model, rng)`` draws,
+# and its trial takes them after ``rng``
 ENV_AXIOMS = {
     "Env.1a": ("discard of a tensor = glued tensor of discards", _env_tensor),
     "Env.1b": ("discard of a par = glued par of discards", _env_par),
     "Env.2": ("the discard equation decides equivalence", _env_decides),
     "Env.3": ("every channel purifies through the discard", _env_purifies),
 }
+ENV_INPUTS = {"Env.1a": _unitary_pair, "Env.1b": _unitary_pair}
 
 
 def env_check(structure: EnvStructure, trials: int = 20,
@@ -491,13 +499,21 @@ def env_check(structure: EnvStructure, trials: int = 20,
     """Randomised verification of all environment axioms.
 
     Returns one LawCheckReport per axiom; ``trials`` must be at least 1,
-    as ``run_trials`` refuses a run that would check nothing.
+    as ``run_trials`` refuses a run that would check nothing.  An axiom in
+    ``ENV_INPUTS`` runs once per distinct drawn pair.
     """
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
+
+    def sampler(axiom):
+        # the model is looked up in each trial, so a structure over a model
+        # that is not dense fails its trials instead of raising here
+        sample = ENV_INPUTS.get(axiom)
+        return sample and (lambda rng: sample(_dense(structure.model), rng))
+
     return [run_trials(axiom, structure.model,
                        partial(trial, structure, tol=tol),
-                       trials, rng, tol, seed)
+                       trials, rng, tol, seed, sample=sampler(axiom))
             for axiom, (_, trial) in ENV_AXIOMS.items()]
 
 

@@ -80,11 +80,6 @@ class LawContext:
         return a, b, f
 
     # the unitary subcategory, presented by the donor model
-    def donor_base(self) -> ObjectExpr:
-        donor = self.model.unitary_donor
-        (a,) = donor.random_chain(self.rng, 0, unitary=True)
-        return a
-
     def donor_arrow(self):
         donor = self.model.unitary_donor
         a, b = donor.random_chain(self.rng, 1, unitary=True)
@@ -101,13 +96,17 @@ class LawContext:
 
 
 Builder = Callable[[LawContext], List[Tuple[Morphism, Morphism]]]
-# (model, rng, tol) -> (deviation, info); coherence rows also take objects=
+# (model, rng, tol) -> (deviation, info); a row with a sampler also takes
+# the inputs it drew
 TrialFn = Callable[..., Tuple[float, Optional[dict]]]
+# (model, rng) -> the inputs of one trial
+Sampler = Callable[[Model, object], tuple]
 
 
 @dataclass(frozen=True)
 class Entry:
-    """One row of the table: a coherence law or a property."""
+    """One row of the table: a coherence law or a property.  ``sample``
+    draws the inputs the trial is a function of, if it has any."""
 
     entry_id: str
     anchor: str
@@ -116,18 +115,29 @@ class Entry:
     trial: TrialFn
     arity: int = 0
     note: Optional[str] = None
+    sample: Optional[Sampler] = None
 
 
 ENTRIES: Dict[str, Entry] = {}
 
 
+def drawn_objects(count: int, unitary: bool = False) -> Sampler:
+    """``count`` objects of the model, drawn one after another."""
+    return lambda m, rng: tuple(m.random_object(rng, unitary=unitary)
+                                for _ in range(count))
+
+
+def _donor_bases(count: int) -> Sampler:
+    """``count`` objects of the unitary subcategory, one chain each."""
+    return lambda m, rng: tuple(
+        m.unitary_donor.random_chain(rng, 0, unitary=True)[0]
+        for _ in range(count))
+
+
 def _law(law_id, anchor, arity, models=("mat", "cplane"),
-         needs_unitary=False, note=None):
+         needs_unitary=False, note=None, sample=None):
     def deco(build: Builder):
-        def trial(m: Model, rng, tol: float, objects=None):
-            if objects is None:
-                objects = [m.random_object(rng, unitary=needs_unitary)
-                           for _ in range(arity)]
+        def trial(m: Model, rng, tol: float, objects):
             dev = 0.0
             for lhs, rhs in build(LawContext(m, list(objects), rng)):
                 if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
@@ -135,18 +145,20 @@ def _law(law_id, anchor, arity, models=("mat", "cplane"),
                         f"sides of {law_id} are not parallel: "
                         f"{lhs.dom}->{lhs.cod} vs {rhs.dom}->{rhs.cod}")
                 dev = fold_deviation(dev, deviation(lhs, rhs))
-            return dev, {"objects": [repr(o) for o in objects],
+            # a nullary law's donor bases are not objects of the law
+            return dev, {"objects": [repr(o) for o in objects[:arity]],
                          "deviation": dev}
-        ENTRIES[law_id] = Entry(law_id, anchor, tuple(models), "coherence",
-                                trial, arity, note)
+        ENTRIES[law_id] = Entry(
+            law_id, anchor, tuple(models), "coherence", trial, arity, note,
+            sample or drawn_objects(arity, needs_unitary))
         return build
     return deco
 
 
-def _prop(entry_id: str, anchor: str, models=("mat",)):
+def _prop(entry_id: str, anchor: str, models=("mat",), sample=None):
     def deco(trial: TrialFn):
         ENTRIES[entry_id] = Entry(entry_id, anchor, tuple(models),
-                                  "property", trial)
+                                  "property", trial, sample=sample)
         return trial
     return deco
 
@@ -422,9 +434,9 @@ def _(ctx):
 
 
 @_law("MIXPRES", "mx = m⊗ F(mx) n⊕", 0, models=("mat", "cplane", "fmat"),
-      needs_unitary=True)
+      sample=_donor_bases(2))
 def _(ctx):
-    a, b = ctx.donor_base(), ctx.donor_base()
+    a, b = ctx.objects
     fa, fb = ctx.inc_expr(a), ctx.inc_expr(b)
     lhs = ctx.S("mx", fa, fb)
     rhs = (ctx.S("m_tensor", fa, fb)
@@ -484,9 +496,9 @@ def _(ctx):
 
 
 @_law("PRES", "F(ι) ρ = ι ρ†", 0, models=("mat", "cplane", "fmat"),
-      needs_unitary=True)
+      sample=_donor_bases(1))
 def _(ctx):
-    a = ctx.donor_base()
+    (a,) = ctx.objects
     fa = ctx.inc_expr(a)
     lhs = ctx.inc(ctx.donor_structural("iota", a)) >> ctx.S("rho", Dagger(fa))
     rhs = ctx.S("iota", fa) >> dagger(ctx.S("rho", fa))
@@ -571,18 +583,49 @@ def fold_deviation(worst: float, dev: float) -> float:
     return math.inf if math.isnan(dev) else max(worst, dev)
 
 
+def _once_per_input(trial, sample):
+    """``trial(rng, inputs)`` after ``sample(rng) -> inputs``, run once for
+    each distinct inputs: a repeat gets the first run's (deviation, info).
+
+    A result is kept only when the trial drew nothing from ``rng`` beyond
+    its inputs.  It is then a function of them, and a repeat would give the
+    same result bit for bit; a trial that draws (a random arrow, a random
+    channel) runs every time.  Inputs are told apart by their reprs, so 1,
+    1.0 and -0.0 stay apart.
+    """
+    seen = {}
+
+    def run(rng):
+        inputs = sample(rng)
+        key = tuple(map(repr, inputs))
+        if key in seen:
+            return seen[key]
+        state = rng.bit_generator.state
+        result = trial(rng, inputs)
+        if rng.bit_generator.state == state:
+            seen[key] = result
+        return result
+    return run
+
+
 def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
-               tol: float, seed: Optional[int] = None) -> LawCheckReport:
+               tol: float, seed: Optional[int] = None,
+               sample=None) -> LawCheckReport:
     """Run ``trial(rng) -> (deviation, info)`` ``trials`` times and report
     the worst deviation.
 
-    A trial that raises is a failed one, and the run goes on.  The witness
-    is the info of the first trial that reached the worst deviation above
-    ``tol``, with that trial's index.  Zero trials would check nothing and
-    pass, so ``trials`` must be at least 1.
+    With ``sample``, the trial is ``trial(rng, inputs)`` behind
+    ``_once_per_input``; a repeat cannot raise the worst deviation, so the
+    report is the one running every trial gives.  A trial that raises is a
+    failed one, and the run goes on.  The witness is the info of the first
+    trial that reached the worst deviation above ``tol``, with that trial's
+    index.  Zero trials would check nothing and pass, so ``trials`` must be
+    at least 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if sample is not None:
+        trial = _once_per_input(trial, sample)
     worst, witness = 0.0, None
     for index in range(trials):
         try:
@@ -618,14 +661,16 @@ def check_law(entry_id: str, model: Model | str, objects=None, rng=None,
     m = get_model(model) if isinstance(model, str) else model
     if m.base not in entry.models:
         raise UnsupportedInModel(f"law {entry_id} not available in {m.name}")
-    extra = {}
-    if objects is not None:
-        if entry.kind != "coherence" or len(objects) != entry.arity:
-            raise ArityError(f"{entry.kind} {entry_id} takes "
-                             f"{entry.arity or 'no'} objects")
-        extra["objects"] = objects
+    if objects is not None and (entry.kind != "coherence"
+                                or len(objects) != entry.arity):
+        raise ArityError(f"{entry.kind} {entry_id} takes "
+                         f"{entry.arity or 'no'} objects")
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
+    # given objects stand for the drawn ones; a nullary law is given none,
+    # and still draws what its sampler draws (MIXPRES's donor bases)
+    sample = (lambda _, rng: tuple(objects)) if objects else entry.sample
     return run_trials(entry_id, m.name,
-                      lambda rng: entry.trial(m, rng, tol, **extra),
-                      trials, rng, tol, seed)
+                      lambda rng, *inputs: entry.trial(m, rng, tol, *inputs),
+                      trials, rng, tol, seed,
+                      sample=sample and (lambda rng: sample(m, rng)))

@@ -23,7 +23,8 @@ from .fmat import (ALL, FIN, OMEGA, FiniteIndex, TagFamily,
                    check_finiteness_relation, check_finiteness_space,
                    explicit_family, family_subset, fmat_compose, fmat_dagger,
                    perp, power_family, sparse_deviation)
-from .laws import ENTRIES, LawCheckReport, _prop, check_law, fold_deviation
+from .laws import (ENTRIES, LawCheckReport, _prop, check_law, drawn_objects,
+                   fold_deviation)
 from .matc import max_abs_diff, random_unitary
 from .morphisms import Morphism, dagger, get_model, identity
 from .objects import Base, Par, Tensor
@@ -148,10 +149,10 @@ def _(model, rng, tol):
     return cpinf.channel_deviation(lhs, rhs), None
 
 
-@_prop("CP-MIX-INV", "Q(mx) is invertible up to ~", ("mat", "cplane"))
-def _(model, rng, tol):
-    a = model.random_object(rng, unitary=True)
-    b = model.random_object(rng, unitary=True)
+@_prop("CP-MIX-INV", "Q(mx) is invertible up to ~", ("mat", "cplane"),
+       sample=drawn_objects(2, unitary=True))
+def _(model, rng, tol, pair):
+    a, b = pair
     fwd = cpinf.functor_Q(structural(model, "mx", [a, b]))
     bwd = cpinf.functor_Q(structural(model, "mx_inv", [a, b]))
     dev1 = cpinf.channel_deviation(
@@ -248,8 +249,9 @@ def _(model, rng, tol):
 
 
 for _axiom, (_text, _trial) in cpinf.ENV_AXIOMS.items():
-    _prop(_axiom, _text)(lambda model, rng, tol, trial=_trial:
-                         trial(cpinf.canonical_env(model.name), rng, tol))
+    _prop(_axiom, _text, sample=cpinf.ENV_INPUTS.get(_axiom))(
+        lambda model, rng, tol, *drawn, trial=_trial:
+        trial(cpinf.canonical_env(model.name), rng, *drawn, tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +393,11 @@ def list_laws() -> List[dict]:
 
 
 def run_suite(cfg: SuiteConfig) -> List[LawCheckReport]:
-    """One report per chosen (entry, model), deterministic; none is an error."""
-    models = [get_model(name) for name in cfg.models]
+    """One report per chosen (entry, model), deterministic; none is an error.
+
+    A model listed twice is run once.
+    """
+    models = [get_model(name) for name in dict.fromkeys(cfg.models)]
     pairs = [(e, m) for e in ENTRIES.values()
              if fnmatch.fnmatch(e.entry_id, cfg.law_filter)
              for m in models if m.base in e.models]

@@ -144,6 +144,15 @@ def test_laws_run_filter(capsys):
     assert len(lines) == 1 and json.loads(lines[0])["law"] == "DMIX"
 
 
+def test_a_model_listed_twice_runs_once(capsys):
+    code, out, _ = run(capsys, "laws-run", "--model", "mat", "--model", "mat",
+                       "--filter", "DMIX", "--trials", "1")
+    assert code == 0
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert (report["law"], report["model"]) == ("DMIX", "mat")
+
+
 def test_laws_list(capsys):
     code, out, _ = run(capsys, "laws-list")
     assert code == 0

@@ -1,6 +1,7 @@
-"""Bit-identity guards: the seed-7, 100-trial suite keeps every deviation,
-the entry table keeps its listing, and the CLI channel round trip keeps
-every byte it writes.
+"""Bit-identity guards: the seed-7, 100-trial suite keeps every deviation
+and every byte of its reports, the mutants' reports stay whole, the entry
+table keeps its listing, and the CLI channel round trip keeps every byte it
+writes.
 
 A suite digest is sha256 over the sorted ``(law, model,
 repr(max_abs_deviation))`` rows of one run, the same formula as the
@@ -12,6 +13,7 @@ alters deviations or output bytes on purpose updates the digest here and
 records the old and new values, and why, in CHANGES.md.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -40,14 +42,42 @@ def test_seed7_deviations_are_bit_identical():
     assert laws_digest(reports) == SEED7_DIGEST
 
 
-def test_mutant_deviations_are_bit_identical():
+def sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# sha256 of ``mucinf laws-run --trials 100 --seed 7`` stdout: every report
+# whole, not just its deviation
+LAWS_RUN_DIGEST = "c107a98c84d19fa8"
+# sha256 of the six mutants' full ``to_json()`` reports, in MUTANTS order:
+# each witness and the index of its trial included
+MUTANT_REPORTS_DIGEST = "9f9072a385b30935"
+
+
+def test_seed7_laws_run_bytes_are_pinned(capsys):
+    assert main(["laws-run", "--trials", "100", "--seed", "7"]) == 0
+    assert sha16(capsys.readouterr().out) == LAWS_RUN_DIGEST
+
+
+@functools.cache
+def mutant_reports():
     reports = []
     for model in MUTANTS:
         with registered(model):
             reports += run_suite(SuiteConfig(models=(model.name,),
                                              trials=25, seed=0))
+    return reports
+
+
+def test_mutant_deviations_are_bit_identical():
+    reports = mutant_reports()
     assert (len(reports), sum(not r.passed for r in reports)) == (319, 33)
     assert laws_digest(reports) == MUTANTS_DIGEST
+
+
+def test_mutant_reports_are_pinned_whole():
+    reports = [r.to_json() for r in mutant_reports()]
+    assert sha16(json.dumps(reports, sort_keys=True)) == MUTANT_REPORTS_DIGEST
 
 
 # sha256 of ``mucinf laws-list --seed 0`` stdout: every entry's id, anchor,

@@ -1,12 +1,20 @@
+from collections import Counter
+from contextlib import nullcontext
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mucinf import laws
 from mucinf.errors import UnknownLaw, UnsupportedInModel
-from mucinf.laws import catalog, check_law
+from mucinf.laws import catalog, check_law, run_trials
+from mucinf.morphisms import get_model
 from mucinf.objects import Base
-from mutants import CrashingCup, registered
+from mucinf.suite import SuiteConfig, run_suite
+from mutants import MUTANTS, CrashingCup, registered
 
 
 def test_catalog_size_and_membership():
@@ -115,3 +123,95 @@ def test_a_crashing_build_is_a_failed_report():
         rep = check_law("SNAKE-L", model, seed=1)
     assert not rep.passed and rep.max_abs_deviation == float("inf")
     assert rep.witness == {"error": "ZeroDivisionError: cup", "trial": 0}
+
+
+# ---------------------------------------------------------------------------
+# a trial that is a function of its sampled objects runs once per input
+
+
+def _counted(monkeypatch, entry_id, models=None, trials=100, seed=7):
+    """Run ``entry_id`` through the suite with its trial and its sampler
+    counted: the models each trial body ran in, the inputs each trial drew,
+    and the reports."""
+    entry = laws.ENTRIES[entry_id]
+    runs, drawn = Counter(), []
+
+    def trial(m, rng, tol, *inputs):
+        runs[m.name] += 1
+        return entry.trial(m, rng, tol, *inputs)
+
+    def sample(m, rng):
+        inputs = entry.sample(m, rng)
+        drawn.append((m.name, tuple(map(repr, inputs))))
+        return inputs
+
+    monkeypatch.setitem(laws.ENTRIES, entry_id,
+                        replace(entry, trial=trial, sample=sample))
+    reports = run_suite(SuiteConfig(models=models or entry.models,
+                                    law_filter=entry_id, trials=trials,
+                                    seed=seed))
+    monkeypatch.undo()
+    assert reports == run_suite(SuiteConfig(models=models or entry.models,
+                                            law_filter=entry_id,
+                                            trials=trials, seed=seed))
+    assert all(r.trials == trials for r in reports)
+    return runs, drawn
+
+
+def test_a_nullary_law_runs_once_per_model(monkeypatch):
+    runs, drawn = _counted(monkeypatch, "DMIX")
+    assert runs == {m: 1 for m in catalog()["DMIX"].models}
+    assert len(drawn) == 100 * len(runs)
+
+
+def test_a_unary_law_runs_once_per_distinct_object(monkeypatch):
+    runs, drawn = _counted(monkeypatch, "DLDC2a", models=("mat",))
+    assert len(drawn) == 100
+    assert runs["mat"] == len(set(drawn)) < 100
+
+
+def test_an_env_axiom_runs_once_per_distinct_pair(monkeypatch):
+    runs, drawn = _counted(monkeypatch, "Env.1a")
+    # a pair of bases of dimension 1..3
+    assert runs["mat"] == len(set(drawn)) <= 9
+
+
+@pytest.mark.parametrize("entry_id", ["FF1", "IOTA-NAT"])
+def test_a_law_with_random_arrows_runs_every_trial(monkeypatch, entry_id):
+    runs, _ = _counted(monkeypatch, entry_id, models=("mat",))
+    assert runs["mat"] == 100
+
+
+def test_given_objects_run_once(monkeypatch):
+    entry = laws.ENTRIES["DLDC2a"]
+    runs = []
+
+    def trial(m, rng, tol, objects):
+        runs.append(objects)
+        return entry.trial(m, rng, tol, objects)
+
+    monkeypatch.setitem(laws.ENTRIES, "DLDC2a", replace(entry, trial=trial))
+    rep = check_law("DLDC2a", "mat", [Base(2)], trials=10)
+    assert rep.passed and rep.trials == 10
+    assert runs == [(Base(2),)]
+
+
+@pytest.mark.parametrize("model", ["mat", "mat!skew-laxor"])
+def test_each_sampled_entry_reports_as_if_every_trial_ran(model):
+    # the memo keeps every report field, witness and trial index included:
+    # a run with no memo, each trial drawing and running, reports the same
+    def unmemoised(entry, m, rng):
+        return entry.trial(m, rng, 1e-9, entry.sample(m, rng))
+
+    mutants = {mutant.name: mutant for mutant in MUTANTS}
+    with registered(mutants[model]) if model in mutants else nullcontext():
+        m = get_model(model)
+        for entry in catalog().values():
+            if entry.sample is None or m.base not in entry.models:
+                continue
+            want = run_trials(entry.entry_id, m.name,
+                              partial(unmemoised, entry, m), 30,
+                              np.random.default_rng(3), 1e-9, 3)
+            got = check_law(entry.entry_id, m, rng=np.random.default_rng(3),
+                            seed=3, trials=30)
+            assert got == want, entry.entry_id

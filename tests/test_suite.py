@@ -37,6 +37,23 @@ def test_full_run_passes_and_is_deterministic():
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
+def test_each_distinct_pair_runs_once_in_the_listed_order(monkeypatch):
+    from mucinf import suite
+    seen = []
+    original = suite.check_law
+
+    def recording(entry_id, model, **kwargs):
+        seen.append((entry_id, model.name))
+        return original(entry_id, model, **kwargs)
+
+    monkeypatch.setattr(suite, "check_law", recording)
+    reps = run_suite(SuiteConfig(models=("cplane", "mat", "cplane", "mat"),
+                                 law_filter="DMIX", trials=1))
+    assert seen == [("DMIX", "cplane"), ("DMIX", "mat")]
+    assert [(r.law, r.model) for r in reps] == [("DMIX", "cplane"),
+                                                 ("DMIX", "mat")]
+
+
 def test_seed_changes_streams_but_not_verdicts():
     a = run_suite(SuiteConfig(trials=6, seed=1))
     b = run_suite(SuiteConfig(trials=6, seed=2))
