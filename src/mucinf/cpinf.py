@@ -7,8 +7,9 @@ relation through its own canonical form (``Model.canonical``): a factor of
 the Choi matrix in the dense model and in the finite fragment of ``fmat``,
 a closed form in the discrete model.  A sampling oracle witnesses the test-map
 definition directly: it composes both sides of the defining equation
-literally from structural maps, builds that wiring once per ``(c, x)``
-dimension pair of a call, and applies it through ``then_tensor`` and
+literally from structural maps, builds each piece of that wiring once per
+call at the granularity it depends on (the call, the dimension ``c`` or
+the dimension ``x``), and applies it through ``then_tensor`` and
 ``then_par``, which a model may realise without forming the product.
 
 The channel category built here inherits its two tensors, its mix structure
@@ -20,6 +21,7 @@ the comparison functor between two environment presentations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional
@@ -205,52 +207,79 @@ def equiv_decide(k1: KrausMorphism, k2: KrausMorphism,
 # the sampling oracle for the test-map definition of equivalence
 
 
-def _testmap_wiring(k: KrausMorphism, c_expr: ObjectExpr,
-                    x_expr: ObjectExpr) -> dict:
-    """The pieces of one side that do not depend on the test map
-    ``h : B * C -> X``: the structural maps, the body and its dagger, and
-    the identities."""
+def _testmap_wiring(k: KrausMorphism) -> dict:
+    """The pieces of one side that depend neither on ``c`` nor on ``x``
+    of the test map ``h : B * C -> X``: the ancilla identities, the laxor
+    and the dagger of the body."""
     m = _model_of(k)
-    u, a, b, f = k.ancilla, k.dom, k.cod, k.body
+    u = k.ancilla
+    return {"id_u": identity(m, u), "id_du": identity(m, Dagger(u)),
+            "lam_tensor": structural(m, "lam_tensor", [u, k.cod]),
+            "f_dag": dagger(k.body)}
+
+
+def _testmap_wiring_c(k: KrausMorphism, c_expr: ObjectExpr) -> dict:
+    """The pieces of one side that depend on ``c`` alone, the test-map-free
+    prefix ``(f * 1) ; dr`` among them."""
+    m = _model_of(k)
+    u, a, b = k.ancilla, k.dom, k.cod
 
     def s(name, *args):
         return structural(m, name, list(args))
 
     return {
-        "id_ac": identity(m, Tensor(a, c_expr)),
-        "f": f,
-        "id_c": identity(m, c_expr),
-        "dr": s("dr", u, b, c_expr),
-        "id_u": identity(m, u),
-        "mid": then_tensor(then_tensor(s("mx_inv", u, x_expr),
-                                       s("phi", u), s("phi", x_expr)),
-                           s("rho", u), s("rho", x_expr)),
-        "id_du": identity(m, Dagger(u)),
+        "prefix": then_tensor(identity(m, Tensor(a, c_expr)), k.body,
+                              identity(m, c_expr)) >> s("dr", u, b, c_expr),
         "lam_par_inv": s("lam_par_inv", b, c_expr),
         "dl": s("dl", Dagger(u), Dagger(b), Dagger(c_expr)),
-        "lam_tensor": s("lam_tensor", u, b),
         "id_dc": identity(m, Dagger(c_expr)),
-        "f_dag": dagger(f),
         "lam_par": s("lam_par", a, c_expr),
     }
 
 
-def _testmap_side(w: dict, h: Morphism) -> Morphism:
+def _testmap_mid(k: KrausMorphism, x_expr: ObjectExpr) -> Morphism:
+    """The piece of one side that depends on ``x`` alone:
+    ``mx^-1 ; (phi * phi) ; (rho * rho)``."""
+    m = _model_of(k)
+    u = k.ancilla
+
+    def s(name, *args):
+        return structural(m, name, list(args))
+
+    return then_tensor(then_tensor(s("mx_inv", u, x_expr),
+                                   s("phi", u), s("phi", x_expr)),
+                       s("rho", u), s("rho", x_expr))
+
+
+def _testmap_side(w: dict, wc: dict, mid: Morphism, h: Morphism) -> Morphism:
     """One side of the defining equation: the test map ``h`` and its dagger
-    glued into the wiring ``w`` of ``_testmap_wiring``, in the order of the
-    literal composite
+    glued into the pieces ``w`` of ``_testmap_wiring``, ``wc`` of
+    ``_testmap_wiring_c`` and ``mid`` of ``_testmap_mid``, in the order of
+    the literal composite
 
         (f * 1) ; dr ; (1 + h) ; mx^-1 ; (phi * phi) ; (rho * rho)
         ; (1 * (h^ ; lam_par^-1)) ; dl ; (lam_tensor + 1) ; (f^ + 1)
         ; lam_par
     """
-    # f * 1 is rebuilt per trial: held for the call, one per (c, x) pair
-    # and side, it would outweigh the trial's own work in memory
-    side = then_par(then_tensor(w["id_ac"], w["f"], w["id_c"]) >> w["dr"],
-                    w["id_u"], h) >> w["mid"]
-    side = then_tensor(side, w["id_du"], dagger(h) >> w["lam_par_inv"])
-    side = then_par(side >> w["dl"], w["lam_tensor"], w["id_dc"])
-    return then_par(side, w["f_dag"], w["id_dc"]) >> w["lam_par"]
+    side = then_par(wc["prefix"], w["id_u"], h) >> mid
+    side = then_tensor(side, w["id_du"], dagger(h) >> wc["lam_par_inv"])
+    side = then_par(side >> wc["dl"], w["lam_tensor"], wc["id_dc"])
+    return then_par(side, w["f_dag"], wc["id_dc"]) >> wc["lam_par"]
+
+
+def _positive_dims(name: str, dims) -> tuple:
+    """``dims`` as a tuple of ints, refused unless it is a non-empty
+    sequence of positive ints (a bool is no dimension)."""
+    try:
+        out = tuple(dims)
+    except TypeError:
+        out = ()
+    if not out or not all(isinstance(d, numbers.Integral)
+                          and not isinstance(d, bool) and d >= 1
+                          for d in out):
+        raise ValueError(f"{name} must be a non-empty sequence of positive "
+                         f"ints, got {dims!r}")
+    return tuple(int(d) for d in out)
 
 
 def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
@@ -261,15 +290,20 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
 
     Independent of the canonical-form decision: both sides of the defining
     equation are composed literally from structural maps, so a witness is a
-    concrete test map whose two glued composites differ.  The wiring of
-    both sides is built once per ``(c, x)`` dimension pair in a call, and
-    each trial glues only the test map and its dagger into it; every
-    product step goes through ``then_tensor``/``then_par``, so a model may
-    apply it without forming the product.  No trial would vouch for any
-    pair, so ``trials`` must be at least 1.
+    concrete test map whose two glued composites differ.  Each side's
+    wiring is built at the granularity it depends on: once per call, once
+    per drawn ``c`` (with the prefix ``(f * 1) ; dr``) and once per drawn
+    ``x``; each trial glues only the test map and its dagger into it.
+    Every product step goes through ``then_tensor``/``then_par``, so a
+    model may apply it without forming the product.  No trial would vouch
+    for any pair, so ``trials`` must be at least 1, and ``c_dims`` and
+    ``x_dims``, the dimensions ``c`` and ``x`` are drawn from, must be
+    non-empty sequences of positive ints.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    c_dims = _positive_dims("c_dims", c_dims)
+    x_dims = _positive_dims("x_dims", x_dims)
     m = _dense(k1.model)
     if (m.interpret(k1.dom) != m.interpret(k2.dom)
             or m.interpret(k1.cod) != m.interpret(k2.cod)):
@@ -277,25 +311,30 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
     b = k1.cod
-    wiring = {}
+    # per side: the representative, its wiring, and its pieces by c and x;
+    # each side holds its prefix per c for the whole call, at most
+    # sum over c of u*b*c x a*c entries
+    sides = [(k, _testmap_wiring(k), {}, {}) for k in (k1, k2)]
     for trial in range(trials):
-        c_expr = Base(int(rng.choice(c_dims)))
-        x_expr = Base(int(rng.choice(x_dims)))
+        # reads the stream as rng.choice(dims) would
+        c = c_dims[int(rng.integers(len(c_dims)))]
+        x = x_dims[int(rng.integers(len(x_dims)))]
+        c_expr, x_expr = Base(c), Base(x)
         h = m.random_morphism(rng, Tensor(b, c_expr), x_expr)
-        h2 = Morphism(k2.model, Tensor(k2.cod, c_expr), x_expr, h.payload)
-        key = (c_expr.label, x_expr.label)
-        if key not in wiring:
-            wiring[key] = (_testmap_wiring(k1, c_expr, x_expr),
-                           _testmap_wiring(k2, c_expr, x_expr))
-        w1, w2 = wiring[key]
-        lhs = _testmap_side(w1, h)
-        rhs = _testmap_side(w2, h2)
-        dev = m.deviation(lhs, rhs)
+        glued = []
+        for k, w, by_c, by_x in sides:
+            if c not in by_c:
+                by_c[c] = _testmap_wiring_c(k, c_expr)
+            if x not in by_x:
+                by_x[x] = _testmap_mid(k, x_expr)
+            h_k = Morphism(k.model, Tensor(k.cod, c_expr), x_expr, h.payload)
+            glued.append(_testmap_side(w, by_c[c], by_x[x], h_k))
+        dev = m.deviation(*glued)
         # phrased so that NaN, which fails every comparison, separates
         if not dev <= tol:
             return {"consistent": False, "trials": trials,
-                    "witness": {"trial": trial, "c_dim": c_expr.label,
-                                "x_dim": x_expr.label, "deviation": dev}}
+                    "witness": {"trial": trial, "c_dim": c, "x_dim": x,
+                                "deviation": dev}}
     return {"consistent": True, "trials": trials, "witness": None}
 
 

@@ -145,9 +145,13 @@ def _law(law_id, anchor, arity, models=("mat", "cplane"),
                         f"sides of {law_id} are not parallel: "
                         f"{lhs.dom}->{lhs.cod} vs {rhs.dom}->{rhs.cod}")
                 dev = fold_deviation(dev, deviation(lhs, rhs))
-            # a nullary law's donor bases are not objects of the law
-            return dev, {"objects": [repr(o) for o in objects[:arity]],
-                         "deviation": dev}
+            # a nullary law's donor bases are not objects of the law, but a
+            # replay needs them
+            info = {"objects": [repr(o) for o in objects[:arity]],
+                    "deviation": dev}
+            if objects[arity:]:
+                info["donors"] = [repr(o) for o in objects[arity:]]
+            return dev, info
         ENTRIES[law_id] = Entry(
             law_id, anchor, tuple(models), "coherence", trial, arity, note,
             sample or drawn_objects(arity, needs_unitary))

@@ -286,6 +286,34 @@ class TestEquivalence:
             tracemalloc.stop()
         assert out["consistent"] and peak < 2 * 2 ** 20
 
+    def test_oracle_holds_its_prefixes_within_bounds(self):
+        # each side holds its prefix (f * 1) ; dr for every drawn c, at
+        # most 8*8*c x 8*c entries each
+        k = random_channel(MAT, RNG, Base(8), Base(8), Base(8))
+        v = equivalent_variant(RNG, k)
+        tracemalloc.start()
+        try:
+            out = equiv_testmap_oracle(k, v, trials=20, rng=RNG,
+                                       c_dims=(2, 4, 8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out["consistent"] and peak < 3 * 2 ** 20
+
+    @pytest.mark.parametrize("name", ["c_dims", "x_dims"])
+    @pytest.mark.parametrize("dims", [(2.5,), (True,), (), (0,)],
+                             ids=["float", "bool", "empty", "zero"])
+    def test_oracle_refuses_bad_dimensions_before_drawing(self, name, dims):
+        # each once ran: 2.5 as 2, True as 1, () and 0 raised from numpy or
+        # mid-trial
+        k1, k2 = cpinf.distinct_pair(MAT, RNG, Base(2), Base(2))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"{name} must be a non-empty "
+                                             "sequence of positive ints"):
+            equiv_testmap_oracle(k1, k2, trials=3, rng=rng, **{name: dims})
+        assert rng.bit_generator.state == state
+
     def test_testmap_chain_reduces_to_closed_form(self):
         # with every structural map an identity matrix, the glued wiring
         # must collapse to (f x 1)^ (1 x h^h) (f x 1)
@@ -304,7 +332,8 @@ class TestEquivalence:
     @given(dims=st.tuples(*[st.integers(1, 4)] * 5),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_oracle_side_is_the_literal_chain(self, model, dims, seed):
-        # the wiring built once per (c, x), with h glued in, is the chain
+        # the wiring built once per call, per c and per x, with h glued
+        # in, is the chain
         rng = np.random.default_rng(seed)
         a, b, u, c, x = dims
         c_expr, x_expr = Base(c), Base(x)
@@ -313,7 +342,8 @@ class TestEquivalence:
             h = model.random_morphism(rng, Tensor(Base(b), c_expr), x_expr)
             ref = reference_side(k, h, c_expr, x_expr)
             side = cpinf._testmap_side(
-                cpinf._testmap_wiring(k, c_expr, x_expr), h)
+                cpinf._testmap_wiring(k), cpinf._testmap_wiring_c(k, c_expr),
+                cpinf._testmap_mid(k, x_expr), h)
         assert (side.dom, side.cod) == (ref.dom, ref.cod)
         scale = max(1.0, float(np.max(np.abs(ref.payload))))
         assert np.max(np.abs(side.payload - ref.payload)) <= 1e-12 * scale
@@ -353,12 +383,14 @@ class TestEquivalence:
                                        c_dims=(8,), x_dims=(1, 2))
             assert out["consistent"]
             counts.append((calls["kron"], calls["structural"]))
-        # ten structural maps per side, two sides, two (c, x) pairs
-        assert counts == [(0, 40), (0, 40)]
+        # per side: the laxor once, four maps for the one c and five for
+        # each of the two x
+        assert counts == [(0, 30), (0, 30)]
 
     def test_oracle_leaves_the_factoring_to_the_model(self):
         # the oracle states products; how to apply one is the model's
-        oracle = {"equiv_testmap_oracle", "_testmap_wiring", "_testmap_side"}
+        oracle = {"equiv_testmap_oracle", "_testmap_wiring",
+                  "_testmap_wiring_c", "_testmap_mid", "_testmap_side"}
         tree = ast.parse(Path(cpinf.__file__).read_text())
         funcs = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name in oracle]

@@ -1,6 +1,7 @@
 """Bit-identity guards: the seed-7, 100-trial suite keeps every deviation
 and every byte of its reports, the mutants' reports stay whole, the entry
-table keeps its listing, and the CLI channel round trip keeps every byte it
+table keeps its listing, the test-map oracle keeps every output and the
+stream it leaves, and the CLI channel round trip keeps every byte it
 writes.
 
 A suite digest is sha256 over the sorted ``(law, model,
@@ -17,10 +18,14 @@ import functools
 import hashlib
 import json
 import os
+from contextlib import nullcontext
 
 import numpy as np
 
 from mucinf.cli import main
+from mucinf.cpinf import (distinct_pair, equiv_testmap_oracle,
+                          equivalent_variant, random_channel)
+from mucinf.morphisms import get_model
 from mucinf.suite import SuiteConfig, run_suite
 from mutants import MUTANTS, registered
 
@@ -89,6 +94,41 @@ def test_laws_list_bytes_are_pinned(capsys):
     assert main(["laws-list", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == LAWS_LIST_DIGEST
+
+
+# sha256 over every test-map oracle call below: its whole output and the
+# state of the stream it drew from, after the call
+ORACLE_DIGEST = "815ffcf2a025d99a"
+# (c_dims, x_dims) of the oracle calls
+ORACLE_SETTINGS = (((1, 2, 3), (1, 2)), ((2, 4, 8), (1, 2)),
+                   ((3, 3, 5), (2,)), ((1,), (1,)))
+
+
+def test_oracle_outputs_are_bit_identical():
+    # mat at seeds 0-14 and each mat mutant at seeds 0-2; per setting an
+    # equivalent pair, a distinct pair, and the equivalent pair again at a
+    # tolerance below rounding, so that witnesses land on later trials
+    mat = get_model("mat")
+    runs = [(mat, range(15))] + [(model, range(3)) for model in MUTANTS
+                                 if model.base == "mat"]
+    digest = hashlib.sha256()
+    for model, seeds in runs:
+        with registered(model) if model is not mat else nullcontext():
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                for c_dims, x_dims in ORACLE_SETTINGS:
+                    k = random_channel(model, rng)
+                    v = equivalent_variant(rng, k)
+                    k1, k2 = distinct_pair(model, rng, k.dom, k.cod)
+                    for pair, tol in (((k, v), 1e-7), ((k1, k2), 1e-9),
+                                      ((k, v), 1e-16)):
+                        out = equiv_testmap_oracle(
+                            *pair, trials=20, rng=rng, c_dims=c_dims,
+                            x_dims=x_dims, tol=tol)
+                        digest.update(json.dumps(
+                            [out, rng.bit_generator.state],
+                            sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == ORACLE_DIGEST
 
 
 # compose -> choi -> purify -> equiv through cli.main on the channels below:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mucinf import laws
 from mucinf.errors import UnknownLaw, UnsupportedInModel
 from mucinf.laws import catalog, check_law, run_trials
+from mucinf.matc import MatModel, _freeze
 from mucinf.morphisms import get_model
 from mucinf.objects import Base
 from mucinf.suite import SuiteConfig, run_suite
@@ -123,6 +124,30 @@ def test_a_crashing_build_is_a_failed_report():
         rep = check_law("SNAKE-L", model, seed=1)
     assert not rep.passed and rep.max_abs_deviation == float("inf")
     assert rep.witness == {"error": "ZeroDivisionError: cup", "trial": 0}
+
+
+class DoubledStrength(MatModel):
+    """The strength m⊗ is twice what it should be."""
+
+    def structural_payload(self, name, args, dom, cod):
+        p = super().structural_payload(name, args, dom, cod)
+        return _freeze(2 * p) if name == "m_tensor" else p
+
+
+def test_a_failing_nullary_witness_names_its_donor_bases():
+    # MIXPRES has no objects of its own: only its donor bases replay it
+    with registered(DoubledStrength("mat!doubled-strength")) as model:
+        rep = check_law("MIXPRES", model, seed=0)
+        donors = laws.ENTRIES["MIXPRES"].sample(model,
+                                                np.random.default_rng(0))
+    assert not rep.passed
+    assert rep.witness == {"objects": [], "deviation": 1.0,
+                           "donors": [repr(o) for o in donors], "trial": 0}
+
+
+def test_a_passing_nullary_report_has_no_witness():
+    rep = check_law("MIXPRES", "mat", seed=0, trials=5)
+    assert rep.passed and rep.witness is None
 
 
 # ---------------------------------------------------------------------------
