@@ -21,7 +21,6 @@ the comparison functor between two environment presentations.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import matc
 from .errors import (DomCodMismatch, NotPSD, TypingError, UnsupportedInModel)
-from .laws import run_trials
+from .laws import positive_count, run_trials
 from .matc import ChoiMatrix
 from .morphisms import (Model, Morphism, dagger, get_model, identity, par,
                         tensor, then_par, then_tensor)
@@ -271,15 +270,13 @@ def _positive_dims(name: str, dims) -> tuple:
     """``dims`` as a tuple of ints, refused unless it is a non-empty
     sequence of positive ints (a bool is no dimension)."""
     try:
-        out = tuple(dims)
-    except TypeError:
+        out = tuple(positive_count(name, d) for d in dims)
+    except (TypeError, ValueError):
         out = ()
-    if not out or not all(isinstance(d, numbers.Integral)
-                          and not isinstance(d, bool) and d >= 1
-                          for d in out):
+    if not out:
         raise ValueError(f"{name} must be a non-empty sequence of positive "
                          f"ints, got {dims!r}")
-    return tuple(int(d) for d in out)
+    return out
 
 
 def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
@@ -296,14 +293,15 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
     ``x``; each trial glues only the test map and its dagger into it.
     Every product step goes through ``then_tensor``/``then_par``, so a
     model may apply it without forming the product.  No trial would vouch
-    for any pair, so ``trials`` must be at least 1, and ``c_dims`` and
-    ``x_dims``, the dimensions ``c`` and ``x`` are drawn from, must be
-    non-empty sequences of positive ints.
+    for any pair, so ``trials`` must be an int of at least 1, and ``c_dims``
+    and ``x_dims`` (what ``c`` and ``x`` are drawn from) non-empty sequences
+    of positive ints; the two must share a model, as for ``equiv_decide``.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = positive_count("trials", trials)
     c_dims = _positive_dims("c_dims", c_dims)
     x_dims = _positive_dims("x_dims", x_dims)
+    if k1.model != k2.model:
+        raise DomCodMismatch(f"models differ: {k1.model} vs {k2.model}")
     m = _dense(k1.model)
     if (m.interpret(k1.dom) != m.interpret(k2.dom)
             or m.interpret(k1.cod) != m.interpret(k2.cod)):
@@ -562,10 +560,9 @@ def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
     """Spot-check the comparison functor between two environment
     presentations on sampled channels.  This samples equations; it proves
     nothing, and with no sample it would check nothing, so ``samples`` must
-    be at least 1.
+    be an int of at least 1.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = positive_count("samples", samples)
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
     m = get_model(src.model)

@@ -1,12 +1,14 @@
 """The discrete toy model: objects are complex numbers, maps are identities.
 
-Tensor and par are both complex multiplication with unit 1, the dagger is
-conjugation, and the linear dual of a nonzero number is its reciprocal.  The
-unitary subcategory consists of the nonzero reals, whose unitary structure
-maps are identities.  Because the category is discrete, a structural map
-exists exactly when its stated domain and codomain evaluate to the same
-complex number; every coherence law therefore collapses to an arithmetic
-identity which this model asserts exactly.
+Tensor and par are both complex multiplication with unit 1, Python's ``*``:
+``(a+ib) ⊗ (x+iy) = (ax - by) + i(ay + bx)``, bit for bit (pinned in
+``tests/test_cplane.py``).  The dagger is conjugation, and the linear dual
+of a nonzero number is its reciprocal.  The unitary subcategory consists of
+the nonzero reals, whose unitary structure maps are identities.  Because the
+category is discrete, a structural map exists exactly when its stated
+domain and codomain evaluate to the same complex number; every coherence
+law therefore collapses to an arithmetic identity which this model asserts
+exactly.
 
 Kraus maps here admit a closed form: a channel representative ``c -> c'``
 with ancilla ``r`` exists precisely when ``c = r * c'`` with r a nonzero
@@ -26,17 +28,6 @@ from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
 
 REL_TOL = 1e-12  # all operations are a few flops; comparisons are near exact
-
-
-def cnum_tensor(z: complex, w: complex) -> complex:
-    """(a+ib) (x) (x+iy) := (ax - by) + i(ay + bx), with unit 1."""
-    a, b = z.real, z.imag
-    x, y = w.real, w.imag
-    return complex(a * x - b * y, a * y + b * x)
-
-
-def cnum_dagger(z: complex) -> complex:
-    return complex(z.real, -z.imag)
 
 
 def _close(z: complex, w: complex, rel: float = REL_TOL) -> bool:
@@ -110,16 +101,16 @@ class CplaneModel(Model):
         self.name = name
 
     def interpret(self, expr: ObjectExpr) -> complex:
-        if isinstance(expr, Base):
+        kind = type(expr)
+        if kind is Base:
             return complex(expr.label)
-        if isinstance(expr, (Tensor, Par)):
-            return cnum_tensor(self.interpret(expr.left),
-                               self.interpret(expr.right))
-        if isinstance(expr, (TensorUnit, ParUnit)):
+        if kind is Tensor or kind is Par:
+            return self.interpret(expr.left) * self.interpret(expr.right)
+        if kind is TensorUnit or kind is ParUnit:
             return 1.0 + 0.0j
-        if isinstance(expr, Dagger):
-            return cnum_dagger(self.interpret(expr.inner))
-        if isinstance(expr, Dual):
+        if kind is Dagger:
+            return self.interpret(expr.inner).conjugate()
+        if kind is Dual:
             z = self.interpret(expr.inner)
             if _close(z, 0.0):
                 raise UnsupportedInModel("0 has no linear dual")

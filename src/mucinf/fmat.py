@@ -387,18 +387,19 @@ class FmatModel(Model):
 
     # interpretation ---------------------------------------------------------
     def interpret(self, expr: ObjectExpr) -> FinitenessSpace:
-        if isinstance(expr, Base):
+        kind = type(expr)
+        if kind is Base:
             space = expr.label
             if not isinstance(space, FinitenessSpace):
                 raise TypingError(
                     f"fmat base object needs a finiteness space, got {space!r}")
             return space
-        if isinstance(expr, (Tensor, Par)):
+        if kind is Tensor or kind is Par:
             return _product_space(self.interpret(expr.left),
                                   self.interpret(expr.right))
-        if isinstance(expr, (TensorUnit, ParUnit)):
+        if kind is TensorUnit or kind is ParUnit:
             return _UNIT_SPACE
-        if isinstance(expr, (Dagger, Dual)):
+        if kind is Dagger or kind is Dual:
             return self.interpret(expr.inner).flip()
         raise TypeError(f"not an object expression: {expr!r}")
 

@@ -16,6 +16,7 @@ functor from the unitary subcategory, ``m⊗/n⊕/m⊤/n⊥`` its strengths and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -612,6 +613,16 @@ def _once_per_input(trial, sample):
     return run
 
 
+def positive_count(name: str, value) -> int:
+    """``value`` as an int, refused with a ValueError naming ``name`` unless
+    it is an int of at least 1 (a bool is no count; zero checks nothing)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
                tol: float, seed: Optional[int] = None,
                sample=None) -> LawCheckReport:
@@ -623,11 +634,9 @@ def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
     report is the one running every trial gives.  A trial that raises is a
     failed one, and the run goes on.  The witness is the info of the first
     trial that reached the worst deviation above ``tol``, with that trial's
-    index.  Zero trials would check nothing and pass, so ``trials`` must be
-    at least 1.
+    index.  ``trials`` must be an int of at least 1 (``positive_count``).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = positive_count("trials", trials)
     if sample is not None:
         trial = _once_per_input(trial, sample)
     worst, witness = 0.0, None

@@ -339,17 +339,18 @@ class MatModel(Model):
 
     # interpretation ------------------------------------------------------
     def interpret(self, expr: ObjectExpr) -> int:
-        if isinstance(expr, Base):
+        kind = type(expr)
+        if kind is Base:
             dim = expr.label
             if not isinstance(dim, int) or dim < 1:
                 raise ShapeMismatch(f"mat base object needs a positive "
                                     f"dimension, got {dim!r}")
             return dim
-        if isinstance(expr, (Tensor, Par)):
+        if kind is Tensor or kind is Par:
             return self.interpret(expr.left) * self.interpret(expr.right)
-        if isinstance(expr, (TensorUnit, ParUnit)):
+        if kind is TensorUnit or kind is ParUnit:
             return 1
-        if isinstance(expr, (Dagger, Dual)):
+        if kind is Dagger or kind is Dual:
             return self.interpret(expr.inner)
         raise TypeError(f"not an object expression: {expr!r}")
 

@@ -240,11 +240,13 @@ def dagger(f: Morphism) -> Morphism:
 
 
 def deviation(f: Morphism, g: Morphism) -> float:
-    """Largest pointwise disagreement between two parallel morphisms."""
+    """Largest pointwise disagreement between two parallel morphisms; sides
+    of equal syntactic dom and cod are parallel without interpreting them."""
     if f.model != g.model:
         raise ModelMismatch(f"{f.model} vs {g.model}")
     m = get_model(f.model)
-    if not (m.same_object(m.interpret(f.dom), m.interpret(g.dom))
+    if not (f.dom == g.dom and f.cod == g.cod) and not (
+            m.same_object(m.interpret(f.dom), m.interpret(g.dom))
             and m.same_object(m.interpret(f.cod), m.interpret(g.cod))):
         raise ShapeMismatch("morphisms are not parallel under interpretation")
     return m.deviation(f, g)

@@ -24,7 +24,7 @@ from .fmat import (ALL, FIN, OMEGA, FiniteIndex, TagFamily,
                    explicit_family, family_subset, fmat_compose, fmat_dagger,
                    perp, power_family, sparse_deviation)
 from .laws import (ENTRIES, LawCheckReport, _prop, check_law, drawn_objects,
-                   fold_deviation)
+                   fold_deviation, positive_count)
 from .matc import max_abs_diff, random_unitary
 from .morphisms import Morphism, dagger, get_model, identity
 from .objects import Base, Par, Tensor
@@ -40,8 +40,7 @@ class SuiteConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        positive_count("trials", self.trials)
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
 

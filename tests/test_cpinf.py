@@ -1,8 +1,10 @@
 import ast
 import math
+import re
 import tracemalloc
 from collections import Counter
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from mucinf.morphisms import (Model, Morphism, dagger, get_model, identity,
                               par, register_model, tensor, unregister_model)
 from mucinf.objects import BOT, Base, Dagger, Par, Tensor
 from mucinf.structural import structural
-from mutants import MUTANTS, SkewLaxor, registered
+from mutants import MUTANTS, SkewLaxor, TransposeDagger, registered
 
 MAT = get_model("mat")
 RNG = np.random.default_rng(31415)
@@ -313,6 +315,35 @@ class TestEquivalence:
                                              "sequence of positive ints"):
             equiv_testmap_oracle(k1, k2, trials=3, rng=rng, **{name: dims})
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("trials", [True, 2.5, "3"])
+    def test_oracle_refuses_a_trial_count_that_is_no_int(self, trials):
+        # True ran one trial and returned "trials": true; 2.5 escaped from
+        # range as a TypeError
+        k1, k2 = cpinf.distinct_pair(MAT, RNG, Base(2), Base(2))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(
+                f"trials must be an int, got {trials!r}")):
+            equiv_testmap_oracle(k1, k2, trials=trials, rng=rng)
+        assert rng.bit_generator.state == state
+
+    def test_oracle_refuses_representatives_of_two_models(self):
+        # each side was glued in its own model and compared by the first's
+        # deviation: consistent false at trial 0, where equiv_decide refuses
+        k = random_channel(MAT, np.random.default_rng(8), Base(2), Base(2),
+                           Base(2))
+        with registered(TransposeDagger("mat!transpose-dagger")) as td:
+            body = Morphism(td.name, k.body.dom, k.body.cod, k.body.payload)
+            other = kraus_new(body, k.ancilla)
+            rng = np.random.default_rng(5)
+            state = rng.bit_generator.state
+            for decide in (partial(equiv_testmap_oracle, rng=rng),
+                           equiv_decide):
+                with pytest.raises(DomCodMismatch, match="models differ: "
+                                   "mat vs mat!transpose-dagger"):
+                    decide(k, other)
+            assert rng.bit_generator.state == state
 
     def test_testmap_chain_reduces_to_closed_form(self):
         # with every structural map an identity matrix, the glued wiring
@@ -626,6 +657,10 @@ class TestInitiality:
         env = canonical_env()
         with pytest.raises(ValueError, match="samples must be >= 1"):
             initiality_probe(env, env, samples=0)
+        for samples in (True, 2.5, "3"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"samples must be an int, got {samples!r}")):
+                initiality_probe(env, env, samples=samples)
 
     def test_compares_at_the_tolerance_it_reports(self):
         # a discard off by a relative 1e-6 passes a loose probe only

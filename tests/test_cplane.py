@@ -1,41 +1,89 @@
+import math
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucinf.cplane import (CplaneKraus, cnum_dagger, cnum_tensor,
-                           cplane_equiv, kraus_valid)
+from mucinf.cplane import CPLANE, CplaneKraus, cplane_equiv, kraus_valid
 from mucinf.errors import DomCodMismatch, TypingError
+from mucinf.objects import TOP, Base, Dagger, Par, Tensor
 
 finite_reals = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 complexes = st.builds(complex, finite_reals, finite_reals)
 
 
+def tensor(z, w):
+    return CPLANE.interpret(Tensor(Base(z), Base(w)))
+
+
+def par(z, w):
+    return CPLANE.interpret(Par(Base(z), Base(w)))
+
+
+def dagger(z):
+    return CPLANE.interpret(Dagger(Base(z)))
+
+
 def test_tensor_unit():
-    assert cnum_tensor(1, 3 + 4j) == 3 + 4j
+    assert tensor(1, 3 + 4j) == 3 + 4j
+    assert CPLANE.interpret(Tensor(TOP, Base(3 + 4j))) == 3 + 4j
 
 
 def test_tensor_formula_by_hand():
     # (1+2i)(3+i): real 1*3 - 2*1 = 1, imag 1*1 + 2*3 = 7
-    assert cnum_tensor(1 + 2j, 3 + 1j) == 1 + 7j
+    assert tensor(1 + 2j, 3 + 1j) == 1 + 7j
+    assert par(1 + 2j, 3 + 1j) == 1 + 7j
 
 
 @settings(max_examples=50)
 @given(complexes, complexes)
 def test_tensor_symmetry(z, w):
-    assert cnum_tensor(z, w) == cnum_tensor(w, z)
+    assert tensor(z, w) == tensor(w, z)
 
 
 def test_dagger_values():
-    assert cnum_dagger(1) == 1
-    assert cnum_dagger(1j) == -1j
+    assert dagger(1) == 1
+    assert dagger(1j) == -1j
 
 
 @settings(max_examples=50)
 @given(complexes, complexes)
 def test_dagger_is_an_antihomomorphism(z, w):
-    lhs = cnum_dagger(cnum_tensor(z, w))
-    rhs = cnum_tensor(cnum_dagger(w), cnum_dagger(z))
+    lhs = CPLANE.interpret(Dagger(Tensor(Base(z), Base(w))))
+    rhs = CPLANE.interpret(Tensor(Dagger(Base(w)), Dagger(Base(z))))
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+# components where a product or a negation could round, overflow, lose a
+# sign or meet a NaN differently
+SPECIALS = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308,
+            math.inf, -math.inf, math.nan, 2.5, -0.1)
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("dd", z.real, z.imag)
+
+
+def test_products_are_the_formula_bit_for_bit():
+    """The model multiplies with Python's complex ``*``; this holds it to
+    (a+ib)(x+iy) = (ax - by) + i(ay + bx) in every bit, so a platform whose
+    complex product rounds otherwise fails here, not only in a digest."""
+    rng = np.random.default_rng(22)
+    parts = rng.standard_normal((2000, 4)) * 10.0 ** rng.integers(
+        -200, 200, (2000, 4))
+    randoms = [(complex(a, b), complex(x, y))
+               for a, b, x, y in parts.tolist()]
+    specials = [complex(a, b) for a in SPECIALS for b in SPECIALS]
+    pairs = randoms + [(z, w) for z in specials for w in specials]
+    for z, w in pairs:
+        a, b, x, y = z.real, z.imag, w.real, w.imag
+        want = _bits(complex(a * x - b * y, a * y + b * x))
+        assert _bits(tensor(z, w)) == want, (z, w)
+        assert _bits(par(z, w)) == want, (z, w)
+    for z in specials + [z for z, _ in randoms]:
+        assert _bits(dagger(z)) == _bits(complex(z.real, -z.imag)), z
 
 
 class TestKrausValid:

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import math
+
+from mutants import registered
+
 from mucinf.errors import ModelMismatch, ShapeMismatch
+from mucinf.laws import ENTRIES, check_law, run_trials
+from mucinf.matc import MatModel
 from mucinf.morphisms import (Morphism, compose, dagger, deviation,
                               get_model, identity, par, tensor, then_par,
                               then_tensor)
@@ -97,8 +103,67 @@ def test_equal_up_to_tolerances():
 
 
 def test_deviation_requires_parallel_shapes():
+    # a dom or cod that differs in syntax is still interpreted and refused
+    f = rand_mat(2, 3)
+    for g in (rand_mat(2, 2), rand_mat(3, 3), rand_mat(3, 2)):
+        with pytest.raises(ShapeMismatch):
+            deviation(f, g)
     with pytest.raises(ShapeMismatch):
-        deviation(rand_mat(2, 3), rand_mat(2, 2))
+        deviation(identity(MAT, Base(6)),
+                  identity(MAT, Tensor(Base(2), Base(2))))
+
+
+class CountingMat(MatModel):
+    """The dense model, counting its ``interpret`` calls (one per node) and
+    its ``same_object`` calls."""
+
+    def __init__(self):
+        super().__init__("mat!counting")
+        self.calls = {"interpret": 0, "same_object": 0}
+
+    def interpret(self, expr):
+        self.calls["interpret"] += 1
+        return super().interpret(expr)
+
+    def same_object(self, first, second):
+        self.calls["same_object"] += 1
+        return super().same_object(first, second)
+
+
+def test_syntactically_parallel_sides_are_not_interpreted():
+    with registered(CountingMat()) as m:
+        a = Tensor(Base(2), Par(Base(3), Dagger(Base(1))))
+        f = identity(m, a)
+        g = Morphism(m.name, a, a, 2 * f.payload)
+        m.calls.update(interpret=0, same_object=0)
+        assert deviation(f, g) == 1.0
+        assert m.calls == {"interpret": 0, "same_object": 0}
+
+
+def test_sides_parallel_only_under_interpretation_are_checked():
+    with registered(CountingMat()) as m:
+        f = identity(m, Base(6))
+        g = identity(m, Tensor(Base(2), Base(3)))
+        m.calls.update(interpret=0, same_object=0)
+        assert deviation(f, g) == 0.0
+        assert m.calls == {"interpret": 8, "same_object": 2}
+
+
+def test_a_nan_object_still_fails_its_law():
+    cplane = get_model("cplane")
+    nan = Base(complex(math.nan))
+    # the same NaN object on both sides: syntactically parallel, so no
+    # longer refused as unparallel, and its NaN deviation reads as inf
+    one = identity(cplane, nan)
+    assert math.isnan(deviation(one, one))
+    rep = run_trials("NAN-ID", "cplane", lambda rng: (deviation(one, one),
+                                                     None), 1, RNG, 1e-9)
+    assert not rep.passed and rep.max_abs_deviation == math.inf
+    for law, entry in ENTRIES.items():
+        if entry.kind == "coherence" and entry.arity and \
+                "cplane" in entry.models:
+            rep = check_law(law, cplane, [nan] * entry.arity)
+            assert not rep.passed and rep.max_abs_deviation == math.inf, law
 
 
 @settings(max_examples=25, deadline=None)

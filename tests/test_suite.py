@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from mucinf import cpinf
 from mucinf.cplane import CplaneModel
 from mucinf.errors import ArityError, UnknownLaw, UnknownModel
 from mucinf.fmat import FmatModel, explicit_family, finite_space
-from mucinf.laws import check_law
+from mucinf.laws import check_law, run_trials
 from mucinf.matc import MatModel
 from mucinf.morphisms import compose, get_model, identity, registered_models
 from mucinf.objects import Base
@@ -85,6 +86,26 @@ def test_zero_trials_are_refused():
             SuiteConfig(trials=trials, seed=9)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             check_law("DMIX", "mat", trials=trials)
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, "3"])
+def test_a_trial_count_that_is_no_int_is_refused(trials):
+    # True ran one trial and reported "trials": true; 2.5 escaped from
+    # range as a TypeError
+    calls = (lambda: SuiteConfig(trials=trials),
+             lambda: check_law("DMIX", "mat", trials=trials),
+             lambda: run_trials("DMIX", "mat", lambda rng: (0.0, None),
+                                trials, np.random.default_rng(0), 1e-9))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                f"trials must be an int, got {trials!r}")):
+            call()
+
+
+def test_a_numpy_trial_count_is_an_int():
+    assert SuiteConfig(trials=np.int64(2)).trials == 2
+    rep = check_law("DMIX", "mat", trials=np.int64(2))
+    assert type(rep.trials) is int and rep.to_json()["trials"] == 2
 
 
 def test_discrete_model_catalog_is_exact():
