@@ -1,11 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import math
-
-from mutants import registered
 
 from mucinf.errors import ModelMismatch, ShapeMismatch
 from mucinf.laws import ENTRIES, check_law, run_trials
@@ -15,6 +13,7 @@ from mucinf.morphisms import (Morphism, compose, dagger, deviation,
                               then_tensor)
 from mucinf.objects import Base, Dagger, Par, Tensor
 from mucinf.structural import structural
+from mutants import registered
 
 MAT = get_model("mat")
 RNG = np.random.default_rng(99)
