@@ -3,17 +3,17 @@
 Three concrete models (dense complex matrices, a desk-scale fragment of
 finiteness matrices, and the discrete complex plane), a catalog of coherence
 laws checked numerically, and the channel construction over them: Kraus
-representatives, equivalence decision, Choi matrices, purification and
-environment structures.
+representatives, equivalence decision, Choi matrices, purification, and
+the environment structure each model gives through its ``discard``.
 """
 
 from . import cplane, fmat, matc  # noqa: F401  (imports register the models)
-from .cpinf import (ChoiMatrix, EnvStructure, KrausMorphism, canonical_env,
-                    channel_action, channel_deviation, env_check,
-                    env_discard, equiv_decide, equiv_testmap_oracle,
-                    functor_N, functor_Q, initiality_probe, kraus_compose,
-                    kraus_dagger, kraus_identity, kraus_new, kraus_par,
-                    kraus_tensor, pure_decomposition, purify, to_choi)
+from .cpinf import (ChoiMatrix, KrausMorphism, channel_action,
+                    channel_deviation, env_discard, equiv_decide,
+                    equiv_testmap_oracle, functor_N, functor_Q,
+                    initiality_probe, kraus_compose, kraus_dagger,
+                    kraus_identity, kraus_new, kraus_par, kraus_tensor,
+                    pure_decomposition, purify, to_choi)
 from .laws import LawCheckReport, catalog, check_law
 from .morphisms import (Morphism, compose, dagger, get_model, identity, par,
                         registered_models, tensor)
@@ -25,12 +25,11 @@ from .suite import SuiteConfig, list_laws, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOT", "Base", "ChoiMatrix", "Dagger", "Dual", "EnvStructure",
-    "KrausMorphism", "LawCheckReport", "Morphism", "ObjectExpr", "Par",
-    "STRUCTURAL_NAMES", "SuiteConfig", "TOP", "Tensor", "canonical_env",
-    "catalog", "channel_action", "channel_deviation", "check_law",
-    "compose", "dag", "dagger", "dual", "env_check", "env_discard",
-    "equiv_decide", "equiv_testmap_oracle", "functor_N",
+    "BOT", "Base", "ChoiMatrix", "Dagger", "Dual", "KrausMorphism",
+    "LawCheckReport", "Morphism", "ObjectExpr", "Par", "STRUCTURAL_NAMES",
+    "SuiteConfig", "TOP", "Tensor", "catalog", "channel_action",
+    "channel_deviation", "check_law", "compose", "dag", "dagger", "dual",
+    "env_discard", "equiv_decide", "equiv_testmap_oracle", "functor_N",
     "functor_Q", "get_model", "identity", "initiality_probe", "kraus_compose",
     "kraus_dagger", "kraus_identity", "kraus_new", "kraus_par",
     "kraus_tensor", "list_laws", "par", "pure_decomposition", "purify",

@@ -14,26 +14,28 @@ the dimension ``x``), and applies it through ``then_tensor`` and
 
 The channel category built here inherits its two tensors, its mix structure
 and (over the dense model) its dagger from the base model; the environment
-operations at the bottom of the file realise discarding, purification and
-the comparison functor between two environment presentations.
+operations at the bottom of the file realise discarding (the body is the
+model's ``discard``), purification, and a probe of the comparison functor
+from the canonical environment presentation to the model's own.  The
+environment axioms Env.1a-Env.3 are rows of the entry table (``suite``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, List, Optional
+from functools import reduce
+from typing import List, Optional
 
 import numpy as np
 
 from . import matc
 from .errors import (DomCodMismatch, NotPSD, TypingError, UnsupportedInModel)
-from .laws import positive_count, run_trials
+from .laws import (LawCheckReport, fold_deviation, positive_count,
+                   run_trials)
 from .matc import ChoiMatrix
 from .morphisms import (Model, Morphism, dagger, get_model, identity, par,
                         tensor, then_par, then_tensor)
-from .objects import BOT, Base, Dagger, Dual, ObjectExpr, Par, Tensor
+from .objects import Base, Dagger, Dual, ObjectExpr, Par, Tensor
 from .structural import structural
 
 
@@ -406,10 +408,10 @@ def functor_N(f: Morphism) -> KrausMorphism:
 
 
 def env_discard(model: Model | str, u_expr: ObjectExpr) -> KrausMorphism:
-    """Discard a unitary object: the whole input becomes the ancilla."""
+    """Discard a unitary object: the channel of the model's ``discard``
+    body, whose ancilla is the whole input."""
     m = get_model(model) if isinstance(model, str) else model
-    body = structural(m, "u_par_r_inv", [u_expr])
-    return kraus_new(body, u_expr)
+    return kraus_new(m.discard(u_expr), u_expr)
 
 
 def purify(choi: ChoiMatrix, model: str = "mat",
@@ -434,171 +436,51 @@ def purify(choi: ChoiMatrix, model: str = "mat",
     return kraus_new(body, Base(len(blocks)))
 
 
-@dataclass(frozen=True)
-class EnvStructure:
-    """A strict isomix functor on pure maps plus a discard family."""
-
-    model: str
-    functor: Callable[[Morphism], KrausMorphism]
-    discard: Callable[[ObjectExpr], KrausMorphism]
-    label: str = "canonical"
-
-
-def canonical_env(model: str = "mat") -> EnvStructure:
-    return EnvStructure(model, functor_Q,
-                        lambda u: env_discard(model, u), "canonical")
+def env_factor(model: Model | str, k: KrausMorphism) -> KrausMorphism:
+    """Push a representative through the environment structure: Q(body),
+    then discard the ancilla, then strip the par unit."""
+    dis = kraus_par(env_discard(model, k.ancilla),
+                    kraus_identity(model, k.cod))
+    unit = functor_Q(structural(model, "u_par_l", [k.cod]))
+    return kraus_compose(kraus_compose(functor_Q(k.body), dis), unit)
 
 
-def env_factor(structure: EnvStructure, k: KrausMorphism) -> KrausMorphism:
-    """Push a representative through the structure: F(body), then discard
-    the ancilla, then strip the par unit."""
-    m = get_model(structure.model)
-    pure = structure.functor(k.body)
-    dis = kraus_par(structure.discard(k.ancilla),
-                    kraus_identity(m, k.cod))
-    unit = structure.functor(structural(m, "u_par_l", [k.cod]))
-    return kraus_compose(kraus_compose(pure, dis), unit)
-
-
-def _unitary_pair(m: Model, rng) -> tuple:
-    """The two unitary objects ``u, v`` an Env.1 trial is a function of."""
-    return tuple(m.random_chain(rng, 1, unitary=True))
-
-
-def _discards_glued(structure: EnvStructure, pair, comparison: str):
-    """Env.1's left side on the drawn ``u, v``: the comparison map on them,
-    the par of their discards, then the unit glue."""
-    m = _dense(structure.model)
-    u_expr, v_expr = pair
-    discards = kraus_par(structure.discard(u_expr), structure.discard(v_expr))
-    lhs = kraus_compose(kraus_compose(
-        structure.functor(structural(m, comparison, [u_expr, v_expr])),
-        discards), structure.functor(structural(m, "u_par_l", [BOT])))
-    return m, u_expr, v_expr, lhs
-
-
-def _env_tensor(structure: EnvStructure, rng, pair, tol: float):
-    # discarding a tensor = tensor of discards, glued by the unit
-    m, u_expr, v_expr, lhs = _discards_glued(structure, pair, "mx")
-    rhs = kraus_compose(
-        structure.functor(structural(m, "m_tensor", [u_expr, v_expr])),
-        structure.discard(Tensor(u_expr, v_expr)))
-    return channel_deviation(lhs, rhs), {"u": u_expr.label, "v": v_expr.label}
-
-
-def _env_par(structure: EnvStructure, rng, pair, tol: float):
-    _, u_expr, v_expr, lhs = _discards_glued(structure, pair, "n_par")
-    rhs = structure.discard(Par(u_expr, v_expr))
-    return channel_deviation(lhs, rhs), {"u": u_expr.label, "v": v_expr.label}
-
-
-def _env_decides(structure: EnvStructure, rng, tol: float):
-    # the discard equation holds iff the representatives are equivalent
-    m = _dense(structure.model)
-    k1 = random_channel(m, rng)
-    if rng.random() < 0.5:
-        k2 = equivalent_variant(rng, k1)
-        expected = True
-    else:
-        k2 = random_channel(m, rng, k1.dom, k1.cod)
-        expected = equiv_decide(k1, k2, tol)
-    sides = channel_deviation(env_factor(structure, k1),
-                              env_factor(structure, k2))
-    # a non-finite side fails whatever was expected, as in every axiom
-    if not math.isfinite(sides):
-        return math.inf, {"expected": expected}
-    return 0.0 if (sides <= tol) == expected else 1.0, {"expected": expected}
-
-
-def _env_purifies(structure: EnvStructure, rng, tol: float):
-    # purification: every channel factors as a pure map then discard
-    m = _dense(structure.model)
-    k = random_channel(m, rng)
-    rebuilt = env_factor(structure, purify(to_choi(k), m.name))
-    return channel_deviation(rebuilt, k), None
-
-
-# each environment axiom: its anchor, and one randomised instance as a
-# trial ``(structure, rng, tol) -> (deviation, info)``; an axiom in
-# ENV_INPUTS is a function of the inputs its sampler ``(model, rng)`` draws,
-# and its trial takes them after ``rng``
-ENV_AXIOMS = {
-    "Env.1a": ("discard of a tensor = glued tensor of discards", _env_tensor),
-    "Env.1b": ("discard of a par = glued par of discards", _env_par),
-    "Env.2": ("the discard equation decides equivalence", _env_decides),
-    "Env.3": ("every channel purifies through the discard", _env_purifies),
-}
-ENV_INPUTS = {"Env.1a": _unitary_pair, "Env.1b": _unitary_pair}
-
-
-def env_check(structure: EnvStructure, trials: int = 20,
-              seed: Optional[int] = None, rng=None, tol: float = 1e-9):
-    """Randomised verification of all environment axioms.
-
-    Returns one LawCheckReport per axiom; ``trials`` must be at least 1,
-    as ``run_trials`` refuses a run that would check nothing.  An axiom in
-    ``ENV_INPUTS`` runs once per distinct drawn pair.
-    """
-    if rng is None:
-        rng = np.random.default_rng(seed if seed is not None else 0)
-
-    def sampler(axiom):
-        # the model is looked up in each trial, so a structure over a model
-        # that is not dense fails its trials instead of raising here
-        sample = ENV_INPUTS.get(axiom)
-        return sample and (lambda rng: sample(_dense(structure.model), rng))
-
-    return [run_trials(axiom, structure.model,
-                       partial(trial, structure, tol=tol),
-                       trials, rng, tol, seed, sample=sampler(axiom))
-            for axiom, (_, trial) in ENV_AXIOMS.items()]
-
-
-def initiality_probe(src: EnvStructure, tgt: EnvStructure, samples: int = 50,
+def initiality_probe(model: Model | str, samples: int = 50,
                      seed: Optional[int] = None, rng=None,
-                     tol: float = 1e-7) -> dict:
-    """Spot-check the comparison functor between two environment
-    presentations on sampled channels.  This samples equations; it proves
-    nothing, and with no sample it would check nothing, so ``samples`` must
-    be an int of at least 1.
-    """
+                     tol: float = 1e-7) -> LawCheckReport:
+    """Spot-check, through ``run_trials``, the comparison functor from the
+    canonical environment presentation (the structural discard) to the
+    model's ``discard``: each sample's deviation is the worst of four
+    checks (well defined, functorial, preserves identities and discards),
+    all four in the witness.  This proves nothing, and with no sample it
+    would check nothing, so ``samples`` must be an int of at least 1."""
     samples = positive_count("samples", samples)
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
-    m = get_model(src.model)
+    m = _dense(model if isinstance(model, str) else model.name)
 
     def transport(k: KrausMorphism) -> KrausMorphism:
-        return env_factor(tgt, purify(to_choi(k), tgt.model))
+        return env_factor(m, purify(to_choi(k), m.name))
 
-    checks = {"well_defined": 0, "functorial": 0, "identity": 0,
-              "discard": 0}
-    failures = []
-    for i in range(samples):
+    def trial(rng):
         k1 = random_channel(m, rng)
         k1_alt = equivalent_variant(rng, k1)
         k2 = random_channel(m, rng, k1.cod)
         (a,) = m.random_chain(rng, 0)
         (u,) = m.random_chain(rng, 0, unitary=True)
-        sides = {
-            "well_defined": lambda: (transport(k1), transport(k1_alt)),
-            "functorial": lambda: (transport(kraus_compose(k1, k2)),
-                                   kraus_compose(transport(k1),
-                                                 transport(k2))),
-            "identity": lambda: (transport(kraus_identity(m, a)),
-                                 kraus_identity(m, a)),
-            "discard": lambda: (transport(src.discard(u)), tgt.discard(u)),
+        # the canonical presentation: the base class's structural discard
+        canonical = kraus_new(Model.discard(m, u), u)
+        checks = {
+            "well_defined": channel_deviation(transport(k1),
+                                              transport(k1_alt)),
+            "functorial": channel_deviation(
+                transport(kraus_compose(k1, k2)),
+                kraus_compose(transport(k1), transport(k2))),
+            "identity": channel_deviation(transport(kraus_identity(m, a)),
+                                          kraus_identity(m, a)),
+            "discard": channel_deviation(transport(canonical),
+                                         env_discard(m, u)),
         }
-        for check, build in sides.items():
-            # a check that raises fails alone, and the probe goes on
-            try:
-                if equiv_decide(*build(), tol):
-                    checks[check] += 1
-                else:
-                    failures.append({"check": check, "sample": i})
-            except Exception as exc:
-                failures.append({"check": check, "sample": i,
-                                 "error": f"{type(exc).__name__}: {exc}"})
+        return reduce(fold_deviation, checks.values(), 0.0), checks
 
-    return {"samples": samples, "checks": checks,
-            "consistent": not failures, "failures": failures[:5],
-            "seed": seed, "tol": tol}
+    return run_trials("ENV-INIT", m.name, trial, samples, rng, tol, seed)

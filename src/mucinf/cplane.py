@@ -23,6 +23,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (DomCodMismatch, ShapeMismatch, TypingError,
                      UnsupportedInModel)
+from .laws import fold_deviation
 from .morphisms import Model, Morphism, register_model
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
@@ -151,7 +152,8 @@ class CplaneModel(Model):
     def deviation(self, f: Morphism, g: Morphism) -> float:
         ddom = abs(self.interpret(f.dom) - self.interpret(g.dom))
         dcod = abs(self.interpret(f.cod) - self.interpret(g.cod))
-        return max(ddom, dcod)
+        # ``max(0.0, nan)`` is 0.0: a NaN end must fail wherever it sits
+        return fold_deviation(fold_deviation(0.0, ddom), dcod)
 
     def check_payload(self, f: Morphism) -> None:
         if not self.same_object(self.interpret(f.dom), self.interpret(f.cod)):

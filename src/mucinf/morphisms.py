@@ -147,6 +147,12 @@ class Model:
         return (k1.body >> par(identity(self, k1.ancilla), k2.body)
                 >> structural(self, "a_par", [k1.ancilla, k2.ancilla, k2.cod]))
 
+    def discard(self, u: ObjectExpr) -> Morphism:
+        """Body ``U -> Par(U, ⊥)`` of the environment structure's discard of
+        the unitary object ``u``: the whole input becomes the ancilla."""
+        from .structural import structural
+        return structural(self, "u_par_r_inv", [u])
+
 
 _REGISTRY: Dict[str, Model] = {}
 

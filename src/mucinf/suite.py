@@ -11,6 +11,7 @@ filtering does not shift anyone's stream.
 from __future__ import annotations
 
 import fnmatch
+import math
 import zlib
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -27,7 +28,7 @@ from .laws import (ENTRIES, LawCheckReport, _prop, check_law, drawn_objects,
                    fold_deviation, positive_count)
 from .matc import max_abs_diff, random_unitary
 from .morphisms import Morphism, dagger, get_model, identity
-from .objects import Base, Par, Tensor
+from .objects import BOT, Base, Par, Tensor
 from .structural import structural
 
 
@@ -247,10 +248,69 @@ def _(model, rng, tol):
         cpinf.purify(cpinf.to_choi(k), model.name), k), None
 
 
-for _axiom, (_text, _trial) in cpinf.ENV_AXIOMS.items():
-    _prop(_axiom, _text, sample=cpinf.ENV_INPUTS.get(_axiom))(
-        lambda model, rng, tol, *drawn, trial=_trial:
-        trial(cpinf.canonical_env(model.name), rng, *drawn, tol=tol))
+# ---------------------------------------------------------------------------
+# environment structure: the model's discard against the channel category
+
+
+def _unitary_pair(model, rng) -> tuple:
+    """The two unitary objects ``u, v`` an Env.1 trial is a function of."""
+    return tuple(model.random_chain(rng, 1, unitary=True))
+
+
+def _discards_glued(model, pair, comparison: str):
+    """Env.1's left side on the drawn ``u, v``: the comparison map on them,
+    the par of their discards, then the unit glue."""
+    u, v = pair
+    discards = cpinf.kraus_par(cpinf.env_discard(model, u),
+                               cpinf.env_discard(model, v))
+    return cpinf.kraus_compose(cpinf.kraus_compose(
+        cpinf.functor_Q(structural(model, comparison, [u, v])), discards),
+        cpinf.functor_Q(structural(model, "u_par_l", [BOT])))
+
+
+@_prop("Env.1a", "discard of a tensor = glued tensor of discards",
+       sample=_unitary_pair)
+def _(model, rng, tol, pair):
+    u, v = pair
+    lhs = _discards_glued(model, pair, "mx")
+    rhs = cpinf.kraus_compose(
+        cpinf.functor_Q(structural(model, "m_tensor", [u, v])),
+        cpinf.env_discard(model, Tensor(u, v)))
+    return cpinf.channel_deviation(lhs, rhs), {"u": u.label, "v": v.label}
+
+
+@_prop("Env.1b", "discard of a par = glued par of discards",
+       sample=_unitary_pair)
+def _(model, rng, tol, pair):
+    u, v = pair
+    return (cpinf.channel_deviation(_discards_glued(model, pair, "n_par"),
+                                    cpinf.env_discard(model, Par(u, v))),
+            {"u": u.label, "v": v.label})
+
+
+@_prop("Env.2", "the discard equation decides equivalence")
+def _(model, rng, tol):
+    k1 = cpinf.random_channel(model, rng)
+    if rng.random() < 0.5:
+        k2 = cpinf.equivalent_variant(rng, k1)
+        expected = True
+    else:
+        k2 = cpinf.random_channel(model, rng, k1.dom, k1.cod)
+        expected = cpinf.equiv_decide(k1, k2, tol)
+    sides = cpinf.channel_deviation(cpinf.env_factor(model, k1),
+                                    cpinf.env_factor(model, k2))
+    # a non-finite side fails whatever was expected, as in every axiom
+    if not math.isfinite(sides):
+        return math.inf, {"expected": expected}
+    return 0.0 if (sides <= tol) == expected else 1.0, {"expected": expected}
+
+
+@_prop("Env.3", "every channel purifies through the discard")
+def _(model, rng, tol):
+    k = cpinf.random_channel(model, rng)
+    rebuilt = cpinf.env_factor(model,
+                               cpinf.purify(cpinf.to_choi(k), model.name))
+    return cpinf.channel_deviation(rebuilt, k), None
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 Each mutant is a subclass of a real model that overrides one method; the
 models themselves have no fault switches.  ``MUTANTS`` holds one instance
 of each coherence mutant under the name the suite reports it by; register
-one with ``registered`` before running the suite on it.
+one with ``registered`` before running the suite on it.  The discard
+mutants at the bottom break only the environment structure; they stay out
+of ``MUTANTS``, whose reports are pinned.
 
     from mutants import MUTANTS, registered
 """
 
 import contextlib
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -125,3 +128,46 @@ MUTANTS = (SwapLaxor("mat!swap-laxor"), SkewLaxor("mat!skew-laxor"),
            TransposeDagger("mat!transpose-dagger"),
            ScaledMix("mat!scaled-mix"), TransposeComm("mat!transpose-comm"),
            NoClosure("fmat!no-closure"))
+
+
+class HalvedDiscard(MatModel):
+    """The discard traces, then halves: its body is over sqrt 2."""
+
+    def discard(self, u):
+        f = super().discard(u)
+        return replace(f, payload=_freeze(f.payload / np.sqrt(2)))
+
+
+class NanDiscard(MatModel):
+    """Every entry of the discard's body is NaN."""
+
+    def discard(self, u):
+        f = super().discard(u)
+        return replace(f, payload=_freeze(f.payload * np.nan))
+
+
+class ScaledDiscard(MatModel):
+    """The discard's body is off by a relative 1e-6."""
+
+    def discard(self, u):
+        f = super().discard(u)
+        return replace(f, payload=_freeze((1 + 1e-6) * f.payload))
+
+
+class PermutedDiscard(MatModel):
+    """The discard reverses the ancilla wires: another presentation of the
+    same environment structure, so nothing may fail."""
+
+    def discard(self, u):
+        f = super().discard(u)
+        flip = np.eye(self.interpret(u))[::-1].astype(complex)
+        return replace(f, payload=_freeze(flip @ f.payload))
+
+
+class PickyDiscard(MatModel):
+    """Discarding dimension 3 raises an error outside the library's own."""
+
+    def discard(self, u):
+        if self.interpret(u) == 3:
+            raise ZeroDivisionError("no discard of 3")
+        return super().discard(u)

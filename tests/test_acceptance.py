@@ -12,21 +12,21 @@ import pytest
 
 from mucinf import cpinf
 from mucinf.cplane import CplaneKraus, cplane_equiv, kraus_valid
-from mucinf.cpinf import (EnvStructure, canonical_env, channel_action,
-                          env_check, env_discard, equiv_decide,
+from mucinf.cpinf import (channel_action, equiv_decide,
                           equiv_testmap_oracle, equivalent_variant,
                           functor_Q, initiality_probe, kraus_compose,
-                          kraus_dagger, kraus_identity, kraus_new,
-                          kraus_tensor, pure_decomposition, purify,
-                          random_channel, random_density, to_choi)
+                          kraus_dagger, kraus_identity, kraus_tensor,
+                          pure_decomposition, purify, random_channel,
+                          random_density, to_choi)
 from mucinf.fmat import (FiniteIndex, check_finiteness_relation,
                          explicit_family, family_subset, fmat_compose,
                          include_mat, perp)
-from mucinf.laws import catalog
+from mucinf.laws import catalog, check_law
 from mucinf.matc import hermitian_eig
-from mucinf.morphisms import Morphism, get_model
+from mucinf.morphisms import get_model
 from mucinf.objects import Base
 from mucinf.suite import SuiteConfig, run_suite
+from mutants import HalvedDiscard, PermutedDiscard, registered
 
 MAT = get_model("mat")
 
@@ -130,33 +130,17 @@ def test_criterion_4_choi_machinery():
 
 def test_criterion_5_environment_structure():
     with criterion(5, "environment structure and initiality probe"):
-        env = canonical_env()
-        reports = env_check(env, trials=25, seed=5)
+        reports = [check_law(axiom, "mat", trials=25, seed=5)
+                   for axiom in ("Env.1a", "Env.1b", "Env.2", "Env.3")]
         assert all(r.passed for r in reports), \
             [(r.law, r.max_abs_deviation) for r in reports]
 
-        def halved(u_expr):
-            honest = env_discard("mat", u_expr)
-            body = Morphism("mat", honest.body.dom, honest.body.cod,
-                            honest.body.payload / np.sqrt(2))
-            return kraus_new(body, honest.ancilla)
+        with registered(HalvedDiscard("mat!trace-then-halve")) as broken:
+            assert not check_law("Env.1a", broken, trials=10, seed=5).passed
 
-        broken = EnvStructure("mat", functor_Q, halved, "trace-then-halve")
-        broken_reports = {r.law: r for r in env_check(broken, trials=10,
-                                                      seed=5)}
-        assert not broken_reports["Env.1a"].passed
-
-        def permuted(u_expr):
-            honest = env_discard("mat", u_expr)
-            dim = MAT.interpret(u_expr)
-            body = Morphism("mat", honest.body.dom, honest.body.cod,
-                            np.eye(dim)[::-1].astype(complex)
-                            @ honest.body.payload)
-            return kraus_new(body, honest.ancilla)
-
-        other = EnvStructure("mat", functor_Q, permuted, "permuted")
-        probe = initiality_probe(env, other, samples=50, seed=5)
-        assert probe["consistent"], probe
+        with registered(PermutedDiscard("mat!permuted")) as other:
+            probe = initiality_probe(other, samples=50, seed=5)
+        assert probe.passed, probe
 
 
 def test_criterion_6_cplane_projective_classes():

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucinf import cpinf, fmat, laws, matc, suite
-from mucinf.cpinf import (EnvStructure, canonical_env, channel_action, channel_deviation, env_check,
-                          env_discard, env_factor, equiv_decide,
+from mucinf.cpinf import (channel_action, channel_deviation, env_discard,
+                          env_factor, equiv_decide,
                           equiv_testmap_oracle, equivalent_variant,
                           functor_N, functor_Q, initiality_probe,
                           kraus_compose, kraus_dagger, kraus_identity,
@@ -25,12 +25,15 @@ from mucinf.cplane import CplaneChannel
 from mucinf.errors import (DomCodMismatch, NotPSD, TypingError,
                            UnsupportedInModel)
 from mucinf.fmat import to_dense
+from mucinf.laws import check_law
 from mucinf.matc import mat_identity, random_unitary
 from mucinf.morphisms import (Model, Morphism, dagger, get_model, identity,
                               par, register_model, tensor, unregister_model)
 from mucinf.objects import BOT, Base, Dagger, Par, Tensor
 from mucinf.structural import structural
-from mutants import MUTANTS, SkewLaxor, TransposeDagger, registered
+from mutants import (MUTANTS, HalvedDiscard, NanDiscard, PermutedDiscard,
+                     PickyDiscard, ScaledDiscard, SkewLaxor, TransposeDagger,
+                     registered)
 
 MAT = get_model("mat")
 RNG = np.random.default_rng(31415)
@@ -71,12 +74,8 @@ def cp_kraus(c, r, cp):
     return kraus_new(body, Base(complex(r)))
 
 
-def nan_scaled_discard(u_expr):
-    """The honest discard with every entry scaled by NaN."""
-    honest = env_discard("mat", u_expr)
-    body = Morphism("mat", honest.body.dom, honest.body.cod,
-                    honest.body.payload * np.nan)
-    return kraus_new(body, honest.ancilla)
+ENV_IDS = ("Env.1a", "Env.1b", "Env.2", "Env.3")
+PROBE_CHECKS = ("well_defined", "functorial", "identity", "discard")
 
 
 def reference_choi(k):
@@ -559,51 +558,56 @@ class TestEnvironment:
         assert channel_deviation(lhs, rhs) <= 1e-9
 
     def test_canonical_structure_passes(self):
-        reports = env_check(canonical_env(), trials=15, seed=2)
-        assert [r.law for r in reports] == ["Env.1a", "Env.1b", "Env.2",
-                                            "Env.3"]
+        reports = [check_law(axiom, "mat", trials=15, seed=2)
+                   for axiom in ENV_IDS]
+        assert [r.law for r in reports] == list(ENV_IDS)
         assert all(r.passed for r in reports)
 
     def test_zero_trials_are_refused(self):
         # no trial checks nothing, and must not read as a pass
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            env_check(canonical_env(), trials=0, seed=2)
+        for axiom in ENV_IDS:
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                check_law(axiom, "mat", trials=0, seed=2)
 
     def test_halved_trace_fails_first_axiom(self):
-        def halved(u_expr):
-            honest = env_discard("mat", u_expr)
-            body = Morphism("mat", honest.body.dom, honest.body.cod,
-                            honest.body.payload / np.sqrt(2))
-            return kraus_new(body, honest.ancilla)
-
-        broken = EnvStructure("mat", functor_Q, halved, "trace-then-halve")
-        reports = {r.law: r for r in env_check(broken, trials=10, seed=4)}
-        assert not reports["Env.1a"].passed
+        with registered(HalvedDiscard("mat!halved-discard")) as m:
+            assert not check_law("Env.1a", m, trials=10, seed=4).passed
 
     def test_nan_discard_fails_the_axioms_it_enters(self):
-        def nan_scaled(u_expr):
-            honest = env_discard("mat", u_expr)
-            body = Morphism("mat", honest.body.dom, honest.body.cod,
-                            honest.body.payload * np.nan)
-            return kraus_new(body, honest.ancilla)
-
-        broken = EnvStructure("mat", functor_Q, nan_scaled, "nan-discard")
-        reports = {r.law: r for r in env_check(broken, trials=5, seed=4)}
+        with registered(NanDiscard("mat!nan-discard")) as m:
+            reports = {axiom: check_law(axiom, m, trials=5, seed=4)
+                       for axiom in ENV_IDS}
         for axiom in ("Env.1a", "Env.1b", "Env.3"):
             assert not reports[axiom].passed
             assert reports[axiom].max_abs_deviation == float("inf")
 
     def test_nan_discard_is_reported_as_non_finite(self):
-        broken = EnvStructure("mat", functor_Q, nan_scaled_discard,
-                              "nan-discard")
-        reports = env_check(broken, trials=5, seed=4)
+        with registered(NanDiscard("mat!nan-discard")) as m:
+            reports = [check_law(axiom, m, trials=5, seed=4)
+                       for axiom in ENV_IDS]
         assert [r.max_abs_deviation for r in reports] == [math.inf] * 4
         assert not any(r.passed for r in reports)
         assert not any("NotHermitian" in repr(r.witness) for r in reports)
 
+    def test_each_axiom_fails_under_a_discard_mutant(self):
+        # the kill matrix of the environment axioms at 25 trials, seed 0
+        def run(model):
+            with registered(model) if model is not MAT else nullcontext():
+                return {axiom: check_law(axiom, model, trials=25, seed=0)
+                        for axiom in ENV_IDS}
+
+        assert all(r.passed for r in run(MAT).values())
+        halved = run(HalvedDiscard("mat!halved-discard"))
+        assert [a for a, r in halved.items() if not r.passed] == [
+            "Env.1a", "Env.1b", "Env.3"]
+        nan = run(NanDiscard("mat!nan-discard"))
+        assert {a: r.max_abs_deviation for a, r in nan.items()} == {
+            a: math.inf for a in ENV_IDS}
+        assert not any(r.passed for r in nan.values())
+
     def test_purification_factors_through_discard(self):
         k = random_channel(MAT, RNG, Base(2), Base(3), Base(2))
-        rebuilt = env_factor(canonical_env(), k)
+        rebuilt = env_factor(MAT, k)
         assert equiv_decide(rebuilt, k)
 
 
@@ -636,72 +640,53 @@ class TestPurify:
 
 class TestInitiality:
     def test_canonical_to_itself(self):
-        env = canonical_env()
-        report = initiality_probe(env, env, samples=10, seed=6)
-        assert report["consistent"]
+        report = initiality_probe("mat", samples=10, seed=6)
+        assert report.passed and report.trials == 10
+        assert report.law == "ENV-INIT" and report.model == "mat"
 
     def test_permuted_ancilla_presentation(self):
-        def permuted(u_expr):
-            honest = env_discard("mat", u_expr)
-            dim = MAT.interpret(u_expr)
-            perm = np.eye(dim)[::-1].astype(complex)
-            body = Morphism("mat", honest.body.dom, honest.body.cod,
-                            perm @ honest.body.payload)
-            return kraus_new(body, honest.ancilla)
-
-        tgt = EnvStructure("mat", functor_Q, permuted, "permuted-ancilla")
-        report = initiality_probe(canonical_env(), tgt, samples=10, seed=8)
-        assert report["consistent"]
+        with registered(PermutedDiscard("mat!permuted-discard")) as m:
+            report = initiality_probe(m, samples=10, seed=8)
+        assert report.passed
 
     def test_zero_samples_are_refused(self):
-        env = canonical_env()
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            initiality_probe(env, env, samples=0)
+            initiality_probe("mat", samples=0)
         for samples in (True, 2.5, "3"):
             with pytest.raises(ValueError, match=re.escape(
                     f"samples must be an int, got {samples!r}")):
-                initiality_probe(env, env, samples=samples)
+                initiality_probe("mat", samples=samples)
+
+    @pytest.mark.parametrize("model", ["cplane", "fmat"])
+    def test_a_model_that_is_not_dense_is_refused(self, model):
+        with pytest.raises(UnsupportedInModel, match="dense model"):
+            initiality_probe(model, samples=1)
 
     def test_compares_at_the_tolerance_it_reports(self):
         # a discard off by a relative 1e-6 passes a loose probe only
-        def scaled(u_expr):
-            honest = env_discard("mat", u_expr)
-            body = Morphism("mat", honest.body.dom, honest.body.cod,
-                            (1 + 1e-6) * honest.body.payload)
-            return kraus_new(body, honest.ancilla)
-
-        tgt = EnvStructure("mat", functor_Q, scaled, "scaled-discard")
-        loose = initiality_probe(canonical_env(), tgt, samples=5, seed=0,
-                                 tol=1e-4)
-        assert loose["consistent"] and loose["tol"] == 1e-4
-        strict = initiality_probe(canonical_env(), tgt, samples=5, seed=0,
-                                  tol=1e-7)
-        assert not strict["consistent"] and strict["tol"] == 1e-7
-
+        with registered(ScaledDiscard("mat!scaled-discard")) as m:
+            loose = initiality_probe(m, samples=5, seed=0, tol=1e-4)
+            strict = initiality_probe(m, samples=5, seed=0, tol=1e-7)
+        assert loose.passed and loose.tol == 1e-4
+        assert not strict.passed and strict.tol == 1e-7
 
     def test_a_nan_discard_makes_the_probe_inconsistent(self):
-        tgt = EnvStructure("mat", functor_Q, nan_scaled_discard,
-                           "nan-discard")
-        report = initiality_probe(canonical_env(), tgt, samples=3, seed=0)
-        assert not report["consistent"]
-        assert set(report["checks"].values()) == {0}
-        assert all("error" not in f for f in report["failures"])
+        with registered(NanDiscard("mat!nan-discard")) as m:
+            report = initiality_probe(m, samples=3, seed=0)
+        assert not report.passed
+        # every check of the witness sample failed, and none raised
+        assert "error" not in report.witness
+        assert not any(report.witness[check] <= report.tol
+                       for check in PROBE_CHECKS)
 
-    def test_a_check_that_raises_fails_alone(self):
-        def picky(u_expr):
-            if MAT.interpret(u_expr) == 3:
-                raise ZeroDivisionError("no discard of 3")
-            return env_discard("mat", u_expr)
-
-        tgt = EnvStructure("mat", functor_Q, picky, "picky")
-        report = initiality_probe(canonical_env(), tgt, samples=10, seed=0)
-        assert not report["consistent"]
-        assert report["failures"][0] == {
-            "check": "functorial", "sample": 0,
-            "error": "ZeroDivisionError: no discard of 3"}
-        # the other checks of the same sample, and later samples, still ran
-        assert report["checks"]["identity"] == 10
-        assert 0 < report["checks"]["functorial"] < 10
+    def test_a_check_that_raises_fails_its_sample(self):
+        # the checks after a raising one are not run; the probe goes on
+        with registered(PickyDiscard("mat!picky-discard")) as m:
+            report = initiality_probe(m, samples=10, seed=0)
+        assert not report.passed and report.trials == 10
+        assert report.max_abs_deviation == math.inf
+        assert report.witness == {
+            "error": "ZeroDivisionError: no discard of 3", "trial": 0}
 
 
 class TestFmatChannels:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mucinf.cplane import CPLANE, CplaneKraus, cplane_equiv, kraus_valid
 from mucinf.errors import DomCodMismatch, TypingError
+from mucinf.morphisms import Morphism
 from mucinf.objects import TOP, Base, Dagger, Par, Tensor
 
 finite_reals = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -84,6 +85,17 @@ def test_products_are_the_formula_bit_for_bit():
         assert _bits(par(z, w)) == want, (z, w)
     for z in specials + [z for z, _ in randoms]:
         assert _bits(dagger(z)) == _bits(complex(z.real, -z.imag)), z
+
+
+@pytest.mark.parametrize("dom,cod", [(math.nan, 1), (1, math.nan),
+                                     (math.nan, math.nan)],
+                         ids=["dom", "cod", "both"])
+def test_a_nan_end_is_an_infinite_deviation(dom, cod):
+    # ``max(0.0, nan)`` is 0.0; a NaN at either end must still fail
+    f = Morphism("cplane", Base(complex(dom)), Base(complex(cod)), None)
+    assert CPLANE.deviation(f, f) == math.inf
+    g = Morphism("cplane", Base(1), Base(1), None)
+    assert CPLANE.deviation(g, g) == 0.0
 
 
 class TestKrausValid:
