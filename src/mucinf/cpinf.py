@@ -22,7 +22,6 @@ environment axioms Env.1a-Env.3 are rows of the entry table (``suite``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import List, Optional
 
@@ -35,11 +34,12 @@ from .laws import (LawCheckReport, fold_deviation, positive_count,
 from .matc import ChoiMatrix
 from .morphisms import (Model, Morphism, dagger, get_model, identity, par,
                         tensor, then_par, then_tensor)
-from .objects import Base, Dagger, Dual, ObjectExpr, Par, Tensor
+from .objects import (Base, Dagger, Dual, ObjectExpr, Par, Tensor,
+                      value_type)
 from .structural import structural
 
 
-@dataclass(frozen=True)
+@value_type
 class KrausMorphism:
     """A channel representative: body ``dom -> Par(ancilla, cod)``."""
 

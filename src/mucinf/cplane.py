@@ -150,10 +150,16 @@ class CplaneModel(Model):
         return None
 
     def deviation(self, f: Morphism, g: Morphism) -> float:
-        ddom = abs(self.interpret(f.dom) - self.interpret(g.dom))
-        dcod = abs(self.interpret(f.cod) - self.interpret(g.cod))
+        ddom = self._gap(f.dom, g.dom)
+        dcod = self._gap(f.cod, g.cod)
         # ``max(0.0, nan)`` is 0.0: a NaN end must fail wherever it sits
         return fold_deviation(fold_deviation(0.0, ddom), dcod)
+
+    def _gap(self, first: ObjectExpr, second: ObjectExpr) -> float:
+        # an end shared in syntax is interpreted once; ``abs(z - z)`` keeps
+        # a NaN or infinite end failing
+        z = self.interpret(first)
+        return abs(z - (z if first == second else self.interpret(second)))
 
     def check_payload(self, f: Morphism) -> None:
         if not self.same_object(self.interpret(f.dom), self.interpret(f.cod)):

@@ -342,7 +342,8 @@ class MatModel(Model):
         kind = type(expr)
         if kind is Base:
             dim = expr.label
-            if not isinstance(dim, int) or dim < 1:
+            # a bool is no dimension, as no count (``laws.positive_count``)
+            if type(dim) is not int or dim < 1:
                 raise ShapeMismatch(f"mat base object needs a positive "
                                     f"dimension, got {dim!r}")
             return dim

@@ -12,15 +12,14 @@ suite can dispatch on the model id alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from .errors import (ModelMismatch, ShapeMismatch, UnknownModel,
                      UnsupportedInModel)
-from .objects import Dagger, ObjectExpr, Par, Tensor
+from .objects import Dagger, ObjectExpr, Par, Tensor, value_type
 
 
-@dataclass(frozen=True)
+@value_type
 class Morphism:
     """A model-tagged arrow with explicit (syntactic) domain and codomain."""
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucinf.cplane import CPLANE, CplaneKraus, cplane_equiv, kraus_valid
+from mucinf.cplane import (CPLANE, CplaneKraus, CplaneModel, cplane_equiv,
+                           kraus_valid)
 from mucinf.errors import DomCodMismatch, TypingError
-from mucinf.morphisms import Morphism
+from mucinf.morphisms import Morphism, deviation
+from mutants import registered
 from mucinf.objects import TOP, Base, Dagger, Par, Tensor
 
 finite_reals = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -96,6 +98,55 @@ def test_a_nan_end_is_an_infinite_deviation(dom, cod):
     assert CPLANE.deviation(f, f) == math.inf
     g = Morphism("cplane", Base(1), Base(1), None)
     assert CPLANE.deviation(g, g) == 0.0
+
+
+class CountingCplane(CplaneModel):
+    """The discrete model, counting its top-level ``interpret`` calls (not
+    the calls one makes on its subtrees)."""
+
+    def __init__(self):
+        super().__init__("cplane!counting")
+        self.top_calls = 0
+        self._depth = 0
+
+    def interpret(self, expr):
+        self.top_calls += self._depth == 0
+        self._depth += 1
+        try:
+            return super().interpret(expr)
+        finally:
+            self._depth -= 1
+
+
+def test_parallel_sides_interpret_each_shared_end_once():
+    def tree():
+        return Tensor(Base(2j), Par(Base(1.5), Dagger(Base(1 - 1j))))
+
+    with registered(CountingCplane()) as m:
+        # equal in syntax, built apart: one interpretation per end
+        f = Morphism(m.name, tree(), Dagger(tree()), None)
+        g = Morphism(m.name, tree(), Dagger(tree()), None)
+        assert m.deviation(f, g) == 0.0 and m.top_calls == 2
+        m.top_calls = 0
+        assert deviation(f, g) == 0.0 and m.top_calls == 2
+        # an end equal only in value is interpreted on both sides
+        h = Morphism(m.name, Base(m.interpret(tree())), Dagger(tree()), None)
+        m.top_calls = 0
+        assert m.deviation(f, h) == 0.0 and m.top_calls == 3
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan), complex(math.inf),
+                                 complex(0, -math.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+def test_a_shared_non_finite_end_is_an_infinite_deviation(bad):
+    # z - z is NaN for a NaN or an infinite z, so a shared end still fails
+    m = CountingCplane()
+    for end in (Base(bad), Tensor(Base(bad), Base(1.0))):
+        f = Morphism(m.name, end, end, None)
+        g = Morphism(m.name, Base(bad), Base(1.0), None)
+        m.top_calls = 0
+        assert m.deviation(f, f) == math.inf and m.top_calls == 2
+        assert m.deviation(g, g) == math.inf
 
 
 class TestKrausValid:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ class TestChannel:
         again = jsonio.channel_from_json(d)
         assert cpinf.equiv_decide(k, again)
         assert np.array_equal(k.body.payload, again.body.payload)
+
+    def test_writer_refuses_a_bool_dimension(self):
+        # ``mat`` once read Base(True) as dimension 1, and the writer then
+        # wrote ``"dom": true``, which the reader refuses
+        k = cpinf.random_channel(MAT, RNG, Base(1), Base(2), Base(1))
+        bad = replace(k, dom=Base(True), body=replace(k.body, dom=Base(True)))
+        with pytest.raises(ShapeMismatch):
+            jsonio.channel_to_json(bad)
 
     def test_shape_validation(self):
         k = cpinf.random_channel(MAT, RNG, Base(2), Base(3), Base(2))

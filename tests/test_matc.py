@@ -458,6 +458,17 @@ class TestHermitianEig:
             check_hermitian(np.full((2, 2), np.nan))
 
 
+def test_a_bool_is_no_dimension():
+    # ``True == 1``, but a bool dimension would be written to JSON as
+    # ``true``, which the reader refuses
+    for label in (True, False):
+        with pytest.raises(ShapeMismatch, match="positive dimension"):
+            MAT.interpret(Base(label))
+        with pytest.raises(ShapeMismatch):
+            MAT.interpret(Tensor(Base(2), Base(label)))
+    assert MAT.interpret(Base(1)) == 1
+
+
 def test_random_unitary_is_unitary():
     u = random_unitary(RNG, 4)
     assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-12
