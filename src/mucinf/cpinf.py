@@ -13,11 +13,15 @@ the dimension ``x``), and applies it through ``then_tensor`` and
 ``then_par``, which a model may realise without forming the product.
 
 The channel category built here inherits its two tensors, its mix structure
-and (over the dense model) its dagger from the base model; the environment
-operations at the bottom of the file realise discarding (the body is the
-model's ``discard``), purification, and a probe of the comparison functor
-from the canonical environment presentation to the model's own.  The
-environment axioms Env.1a-Env.3 are rows of the entry table (``suite``).
+and (over the dense model) its dagger from the base model.  The channel
+tensors ``kraus_tensor`` and ``kraus_par`` apply their ancilla rewiring to
+the body one step at a time, through ``then_tensor``/``then_par`` as well,
+so the ``N x N`` rewiring map on ``N = u1*b*u2*d`` is never formed.  The
+environment operations at the bottom of the file realise discarding (the
+body is the model's ``discard``), purification, and a probe of the
+comparison functor from the canonical environment presentation to the
+model's own.  The environment axioms Env.1a-Env.3 are rows of the entry
+table (``suite``).
 """
 
 from __future__ import annotations
@@ -83,39 +87,39 @@ def kraus_compose(k1: KrausMorphism, k2: KrausMorphism) -> KrausMorphism:
     return kraus_new(body, Par(k1.ancilla, k2.ancilla))
 
 
-def _rewire_tensor(m: Model, u1, b, u2, d) -> Morphism:
-    # Tensor(Par(u1,b), Par(u2,d)) -> Par(Par(u1,u2), Tensor(b,d))
-    return (tensor(structural(m, "mx_inv", [u1, b]),
-                   structural(m, "mx_inv", [u2, d]))
-            >> structural(m, "a_tensor_inv", [u1, b, Tensor(u2, d)])
-            >> tensor(identity(m, u1), structural(m, "a_tensor", [b, u2, d]))
-            >> tensor(identity(m, u1),
-                      tensor(structural(m, "c_tensor", [b, u2]),
-                             identity(m, d)))
-            >> tensor(identity(m, u1),
-                      structural(m, "a_tensor_inv", [u2, b, d]))
-            >> structural(m, "a_tensor", [u1, u2, Tensor(b, d)])
-            >> structural(m, "mx", [Tensor(u1, u2), Tensor(b, d)])
-            >> par(structural(m, "mx", [u1, u2]), identity(m, Tensor(b, d))))
+def _rewire_tensor(m: Model, x: Morphism, u1, b, u2, d) -> Morphism:
+    # x ; (Tensor(Par(u1,b), Par(u2,d)) -> Par(Par(u1,u2), Tensor(b,d))),
+    # one step at a time: only the inner c_tensor * 1_d is formed
+    x = then_tensor(x, structural(m, "mx_inv", [u1, b]),
+                    structural(m, "mx_inv", [u2, d]))
+    x = x >> structural(m, "a_tensor_inv", [u1, b, Tensor(u2, d)])
+    x = then_tensor(x, identity(m, u1), structural(m, "a_tensor", [b, u2, d]))
+    x = then_tensor(x, identity(m, u1),
+                    tensor(structural(m, "c_tensor", [b, u2]), identity(m, d)))
+    x = then_tensor(x, identity(m, u1),
+                    structural(m, "a_tensor_inv", [u2, b, d]))
+    x = (x >> structural(m, "a_tensor", [u1, u2, Tensor(b, d)])
+         >> structural(m, "mx", [Tensor(u1, u2), Tensor(b, d)]))
+    return then_par(x, structural(m, "mx", [u1, u2]),
+                    identity(m, Tensor(b, d)))
 
 
-def _rewire_par(m: Model, u1, b, u2, d) -> Morphism:
-    # Par(Par(u1,b), Par(u2,d)) -> Par(Par(u1,u2), Par(b,d))
-    return (structural(m, "a_par_inv", [u1, b, Par(u2, d)])
-            >> par(identity(m, u1), structural(m, "a_par", [b, u2, d]))
-            >> par(identity(m, u1),
-                   par(structural(m, "c_par", [b, u2]), identity(m, d)))
-            >> par(identity(m, u1), structural(m, "a_par_inv", [u2, b, d]))
-            >> structural(m, "a_par", [u1, u2, Par(b, d)]))
+def _rewire_par(m: Model, x: Morphism, u1, b, u2, d) -> Morphism:
+    # x ; (Par(Par(u1,b), Par(u2,d)) -> Par(Par(u1,u2), Par(b,d))), likewise
+    x = x >> structural(m, "a_par_inv", [u1, b, Par(u2, d)])
+    x = then_par(x, identity(m, u1), structural(m, "a_par", [b, u2, d]))
+    x = then_par(x, identity(m, u1),
+                 par(structural(m, "c_par", [b, u2]), identity(m, d)))
+    x = then_par(x, identity(m, u1), structural(m, "a_par_inv", [u2, b, d]))
+    return x >> structural(m, "a_par", [u1, u2, Par(b, d)])
 
 
 def kraus_tensor(k1: KrausMorphism, k2: KrausMorphism) -> KrausMorphism:
     """Tensor of channels; the middle swap pulls both ancillas leftmost."""
     if k1.model != k2.model:
         raise TypingError(f"models differ: {k1.model} vs {k2.model}")
-    m = _model_of(k1)
-    body = (tensor(k1.body, k2.body)
-            >> _rewire_tensor(m, k1.ancilla, k1.cod, k2.ancilla, k2.cod))
+    body = _rewire_tensor(_model_of(k1), tensor(k1.body, k2.body),
+                          k1.ancilla, k1.cod, k2.ancilla, k2.cod)
     return kraus_new(body, Par(k1.ancilla, k2.ancilla))
 
 
@@ -123,9 +127,8 @@ def kraus_par(k1: KrausMorphism, k2: KrausMorphism) -> KrausMorphism:
     """Par of channels; in the dense model it coincides with the tensor."""
     if k1.model != k2.model:
         raise TypingError(f"models differ: {k1.model} vs {k2.model}")
-    m = _model_of(k1)
-    body = (par(k1.body, k2.body)
-            >> _rewire_par(m, k1.ancilla, k1.cod, k2.ancilla, k2.cod))
+    body = _rewire_par(_model_of(k1), par(k1.body, k2.body),
+                       k1.ancilla, k1.cod, k2.ancilla, k2.cod)
     return kraus_new(body, Par(k1.ancilla, k2.ancilla))
 
 
@@ -393,8 +396,8 @@ def random_density(rng, dim: int) -> np.ndarray:
 def functor_Q(f: Morphism) -> KrausMorphism:
     """Every base-model morphism as a pure channel (ancilla the par unit)."""
     m = get_model(f.model)
-    body = (f >> structural(m, "u_par_l_inv", [f.cod])
-            >> par(structural(m, "n_bot_inv", []), identity(m, f.cod)))
+    body = then_par(f >> structural(m, "u_par_l_inv", [f.cod]),
+                    structural(m, "n_bot_inv", []), identity(m, f.cod))
     return kraus_new(body, body.cod.left)
 
 

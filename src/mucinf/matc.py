@@ -27,7 +27,9 @@ Conventions
   method) applies a product ``f * g`` after ``x`` as a reshaped matmul:
   ``x``'s rows are split into ``f``'s and ``g``'s inputs, ``g`` and then
   ``f`` act on their own axis, and a shared identity factor is skipped, so
-  the Kronecker product is never formed.
+  the Kronecker product is never formed.  The test-map oracle and the
+  channel tensors' ancilla rewiring (``cpinf.kraus_tensor``,
+  ``cpinf.kraus_par``) both go through it.
 * Size guards bound each side of a payload by ``DIM_LIMIT`` and its number
   of entries by ``ENTRY_LIMIT``, before anything is allocated.
 * The model has no fault switches: the suite's mutants are subclasses that

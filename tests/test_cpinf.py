@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from collections import Counter
 from contextlib import nullcontext
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -63,6 +64,48 @@ def reference_side(k, h, c_expr, x_expr):
                identity(m, Dagger(c_expr)))
         >> par(dagger(f), identity(m, Dagger(c_expr)))
         >> structural(m, "lam_par", [a, c_expr]))
+
+
+def reference_tensor_body(k1, k2):
+    """The body of ``kraus_tensor`` as a formed composite: the rewiring
+    ``(U1 + B) * (U2 + D) -> (U1 + U2) + (B * D)`` built as one map, then
+    composed after ``f1 * f2``."""
+    m = get_model(k1.model)
+    u1, b, u2, d = k1.ancilla, k1.cod, k2.ancilla, k2.cod
+    rewire = (
+        tensor(structural(m, "mx_inv", [u1, b]),
+               structural(m, "mx_inv", [u2, d]))
+        >> structural(m, "a_tensor_inv", [u1, b, Tensor(u2, d)])
+        >> tensor(identity(m, u1), structural(m, "a_tensor", [b, u2, d]))
+        >> tensor(identity(m, u1),
+                  tensor(structural(m, "c_tensor", [b, u2]), identity(m, d)))
+        >> tensor(identity(m, u1), structural(m, "a_tensor_inv", [u2, b, d]))
+        >> structural(m, "a_tensor", [u1, u2, Tensor(b, d)])
+        >> structural(m, "mx", [Tensor(u1, u2), Tensor(b, d)])
+        >> par(structural(m, "mx", [u1, u2]), identity(m, Tensor(b, d))))
+    return tensor(k1.body, k2.body) >> rewire
+
+
+def reference_par_body(k1, k2):
+    """The body of ``kraus_par`` as a formed composite, as
+    ``reference_tensor_body``."""
+    m = get_model(k1.model)
+    u1, b, u2, d = k1.ancilla, k1.cod, k2.ancilla, k2.cod
+    rewire = (
+        structural(m, "a_par_inv", [u1, b, Par(u2, d)])
+        >> par(identity(m, u1), structural(m, "a_par", [b, u2, d]))
+        >> par(identity(m, u1),
+               par(structural(m, "c_par", [b, u2]), identity(m, d)))
+        >> par(identity(m, u1), structural(m, "a_par_inv", [u2, b, d]))
+        >> structural(m, "a_par", [u1, u2, Par(b, d)]))
+    return par(k1.body, k2.body) >> rewire
+
+
+def reference_q_body(f):
+    """The body of ``functor_Q(f)`` as a formed composite."""
+    m = get_model(f.model)
+    return (f >> structural(m, "u_par_l_inv", [f.cod])
+            >> par(structural(m, "n_bot_inv", []), identity(m, f.cod)))
 
 
 MAT_MODELS = (MAT, *(model for model in MUTANTS if model.base == "mat"))
@@ -181,6 +224,88 @@ class TestTensors:
                            np.kron(commutation_perm(b1, u2), np.eye(b2)))
             direct = swap @ np.kron(k1.body.payload, k2.body.payload)
             assert np.max(np.abs(joint - direct)) <= 1e-12
+
+
+    @pytest.mark.parametrize("model", MAT_MODELS, ids=lambda m: m.name)
+    @settings(max_examples=25, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 4)] * 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rewired_bodies_are_the_formed_chains(self, model, dims, seed):
+        # each rewiring step is a permutation or an identity, so applying
+        # it step by step must give the formed composite bit for bit
+        rng = np.random.default_rng(seed)
+        a1, b1, u1, a2, b2, u2 = dims
+        with registered(model) if model is not MAT else nullcontext():
+            k1 = random_channel(model, rng, Base(a1), Base(b1), Base(u1))
+            k2 = random_channel(model, rng, Base(a2), Base(b2), Base(u2))
+            f = model.random_morphism(rng, Base(a1), Base(b1))
+            pairs = ((kraus_tensor(k1, k2).body,
+                      reference_tensor_body(k1, k2)),
+                     (kraus_par(k1, k2).body, reference_par_body(k1, k2)),
+                     (functor_Q(f).body, reference_q_body(f)))
+        for body, ref in pairs:
+            assert (body.dom, body.cod) == (ref.dom, ref.cod)
+            assert np.array_equal(body.payload, ref.payload)
+
+    @pytest.mark.parametrize("model", ["cplane", "fmat"])
+    @settings(max_examples=10, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 4)] * 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rewired_bodies_are_the_formed_chains_in_the_other_models(
+            self, model, dims, seed):
+        rng = np.random.default_rng(seed)
+        a1, b1, u1, a2, b2, u2 = dims
+        m = get_model(model)
+        if model == "fmat":
+            k1, k2 = fmat_kraus(rng, a1, b1, u1), fmat_kraus(rng, a2, b2, u2)
+            f = m.include(MAT.random_morphism(rng, Base(a1), Base(b1)))
+        else:
+            k1 = random_channel(m, rng, None, Base(complex(b1)),
+                                Base(complex(u1)))
+            k2 = random_channel(m, rng, None, Base(complex(b2)),
+                                Base(complex(u2)))
+            f = identity(m, Base(complex(a1)))
+        pairs = ((kraus_tensor(k1, k2).body, reference_tensor_body(k1, k2)),
+                 (kraus_par(k1, k2).body, reference_par_body(k1, k2)),
+                 (functor_Q(f).body, reference_q_body(f)))
+        for body, ref in pairs:
+            assert (body.dom, body.cod) == (ref.dom, ref.cod)
+            assert body.payload == ref.payload
+
+    @pytest.mark.parametrize("product", [kraus_tensor, kraus_par],
+                             ids=["tensor", "par"])
+    def test_channel_products_form_no_rewiring_map(self, product):
+        # the rewiring on u1*b*u2*d = 4096 wires would take 256 MiB; the
+        # body itself is 4096 x 64, 4 MiB
+        k = random_channel(MAT, RNG, Base(8), Base(8), Base(8))
+        tracemalloc.start()
+        try:
+            out = product(k, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.body.payload.shape == (4096, 64)
+        assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("product", [kraus_tensor, kraus_par],
+                             ids=["tensor", "par"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_a_non_finite_body_entry_still_separates(self, product, bad):
+        rng = np.random.default_rng(2)
+        k1 = random_channel(MAT, rng, Base(2), Base(2), Base(2))
+        k2 = random_channel(MAT, rng, Base(2), Base(2), Base(2))
+        payload = np.array(k1.body.payload)
+        payload[1, 0] = bad
+        broken = kraus_new(replace(k1.body, payload=matc._freeze(payload)),
+                           k1.ancilla)
+        with np.errstate(invalid="ignore"):
+            out = product(broken, k2)
+            assert channel_deviation(out, product(k1, k2)) == math.inf
+        if bad is np.nan:
+            # the NaN stays in its own ancilla slice: 8 rows by the 2
+            # columns it touches, where the formed rewiring's zeros
+            # spread it over all 16 rows (32 entries)
+            assert np.isnan(out.body.payload).sum() == 16
 
 
 class TestChoi:
