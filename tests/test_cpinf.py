@@ -225,7 +225,6 @@ class TestTensors:
             direct = swap @ np.kron(k1.body.payload, k2.body.payload)
             assert np.max(np.abs(joint - direct)) <= 1e-12
 
-
     @pytest.mark.parametrize("model", MAT_MODELS, ids=lambda m: m.name)
     @settings(max_examples=25, deadline=None)
     @given(dims=st.tuples(*[st.integers(1, 4)] * 6),
@@ -301,7 +300,7 @@ class TestTensors:
         with np.errstate(invalid="ignore"):
             out = product(broken, k2)
             assert channel_deviation(out, product(k1, k2)) == math.inf
-        if bad is np.nan:
+        if np.isnan(bad):
             # the NaN stays in its own ancilla slice: 8 rows by the 2
             # columns it touches, where the formed rewiring's zeros
             # spread it over all 16 rows (32 entries)
