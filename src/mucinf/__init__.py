@@ -17,8 +17,7 @@ from .cpinf import (ChoiMatrix, KrausMorphism, channel_action,
 from .laws import LawCheckReport, catalog, check_law
 from .morphisms import (Morphism, compose, dagger, get_model, identity, par,
                         registered_models, tensor)
-from .objects import (BOT, TOP, Base, Dagger, Dual, ObjectExpr, Par, Tensor,
-                      dag, dual)
+from .objects import BOT, TOP, Base, Dagger, Dual, ObjectExpr, Par, Tensor
 from .structural import STRUCTURAL_NAMES, signature, structural
 from .suite import SuiteConfig, list_laws, run_suite
 
@@ -28,9 +27,9 @@ __all__ = [
     "BOT", "Base", "ChoiMatrix", "Dagger", "Dual", "KrausMorphism",
     "LawCheckReport", "Morphism", "ObjectExpr", "Par", "STRUCTURAL_NAMES",
     "SuiteConfig", "TOP", "Tensor", "catalog", "channel_action",
-    "channel_deviation", "check_law", "compose", "dag", "dagger", "dual",
-    "env_discard", "equiv_decide", "equiv_testmap_oracle", "functor_N",
-    "functor_Q", "get_model", "identity", "initiality_probe", "kraus_compose",
+    "channel_deviation", "check_law", "compose", "dagger", "env_discard",
+    "equiv_decide", "equiv_testmap_oracle", "functor_N", "functor_Q",
+    "get_model", "identity", "initiality_probe", "kraus_compose",
     "kraus_dagger", "kraus_identity", "kraus_new", "kraus_par",
     "kraus_tensor", "list_laws", "par", "pure_decomposition", "purify",
     "registered_models", "run_suite", "signature", "structural", "tensor",

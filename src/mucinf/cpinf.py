@@ -42,6 +42,9 @@ from .objects import (Base, Dagger, Dual, ObjectExpr, Par, Tensor,
                       value_type)
 from .structural import structural
 
+RANK_CUTOFF = 1e-10  # purify keeps eigenvalues above this share of the peak
+MIN_GAP = 1e-3  # the least deviation between distinct_pair's channels
+
 
 @value_type
 class KrausMorphism:
@@ -116,8 +119,6 @@ def _rewire_par(m: Model, x: Morphism, u1, b, u2, d) -> Morphism:
 
 def kraus_tensor(k1: KrausMorphism, k2: KrausMorphism) -> KrausMorphism:
     """Tensor of channels; the middle swap pulls both ancillas leftmost."""
-    if k1.model != k2.model:
-        raise TypingError(f"models differ: {k1.model} vs {k2.model}")
     body = _rewire_tensor(_model_of(k1), tensor(k1.body, k2.body),
                           k1.ancilla, k1.cod, k2.ancilla, k2.cod)
     return kraus_new(body, Par(k1.ancilla, k2.ancilla))
@@ -125,8 +126,6 @@ def kraus_tensor(k1: KrausMorphism, k2: KrausMorphism) -> KrausMorphism:
 
 def kraus_par(k1: KrausMorphism, k2: KrausMorphism) -> KrausMorphism:
     """Par of channels; in the dense model it coincides with the tensor."""
-    if k1.model != k2.model:
-        raise TypingError(f"models differ: {k1.model} vs {k2.model}")
     body = _rewire_par(_model_of(k1), par(k1.body, k2.body),
                        k1.ancilla, k1.cod, k2.ancilla, k2.cod)
     return kraus_new(body, Par(k1.ancilla, k2.ancilla))
@@ -374,12 +373,12 @@ def equivalent_variant(rng, k: KrausMorphism) -> KrausMorphism:
 
 
 def distinct_pair(model: Model, rng, dom: Optional[ObjectExpr] = None,
-                  cod: Optional[ObjectExpr] = None, min_gap: float = 1e-3):
-    """Two representatives of provably different channels."""
+                  cod: Optional[ObjectExpr] = None):
+    """Two representatives of channels more than ``MIN_GAP`` apart."""
     k1 = random_channel(model, rng, dom, cod)
     while True:
         k2 = random_channel(model, rng, k1.dom, k1.cod)
-        if channel_deviation(k1, k2) > min_gap:
+        if channel_deviation(k1, k2) > MIN_GAP:
             return k1, k2
 
 
@@ -417,8 +416,7 @@ def env_discard(model: Model | str, u_expr: ObjectExpr) -> KrausMorphism:
     return kraus_new(m.discard(u_expr), u_expr)
 
 
-def purify(choi: ChoiMatrix, model: str = "mat",
-           rank_cutoff: float = 1e-10) -> KrausMorphism:
+def purify(choi: ChoiMatrix, model: str = "mat") -> KrausMorphism:
     """Stinespring representative from the Choi eigendecomposition.
 
     The ancilla dimension is the Choi rank; Kraus blocks are the unvec'd
@@ -431,7 +429,7 @@ def purify(choi: ChoiMatrix, model: str = "mat",
         raise NotPSD(f"Choi eigenvalue {np.min(w)} below the PSD floor")
     a, b = choi.dim_in, choi.dim_out
     blocks = [np.sqrt(lam) * vec.reshape(b, a)
-              for lam, vec in zip(w, v.T) if lam > rank_cutoff * scale]
+              for lam, vec in zip(w, v.T) if lam > RANK_CUTOFF * scale]
     if not blocks:
         blocks = [np.zeros((b, a), dtype=complex)]
     payload = matc._freeze(np.concatenate(blocks, axis=0))

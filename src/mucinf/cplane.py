@@ -12,19 +12,21 @@ exactly.
 
 Kraus maps here admit a closed form: a channel representative ``c -> c'``
 with ancilla ``r`` exists precisely when ``c = r * c'`` with r a nonzero
-real.
+real.  ``CplaneModel.check_payload`` carries that condition, so
+``cpinf.kraus_new`` refuses every other body; ``canonical`` then only reads
+the ancilla ratio off a representative.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .cpinf import kraus_new
 from .errors import (DomCodMismatch, ShapeMismatch, TypingError,
                      UnsupportedInModel)
 from .laws import fold_deviation
-from .morphisms import Model, Morphism, register_model
+from .morphisms import Model, Morphism, get_model, register_model
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
 
@@ -33,28 +35,6 @@ REL_TOL = 1e-12  # all operations are a few flops; comparisons are near exact
 
 def _close(z: complex, w: complex, rel: float = REL_TOL) -> bool:
     return cmath.isclose(z, w, rel_tol=rel, abs_tol=rel)
-
-
-def kraus_valid(c: complex, r: float, c_prime: complex) -> bool:
-    """Is (=, r): c -> c' a Kraus map, i.e. c = r*c' with r a nonzero real?"""
-    if r == 0 or r != r.real:
-        return False
-    return _close(c, complex(r) * c_prime)
-
-
-@dataclass(frozen=True)
-class CplaneKraus:
-    """A channel representative c -> c' with real nonzero ancilla r."""
-
-    dom: complex
-    cod: complex
-    ancilla: float
-
-    def __post_init__(self):
-        if not kraus_valid(self.dom, self.ancilla, self.cod):
-            raise TypingError(
-                f"(={self.ancilla}): {self.dom} -> {self.cod} is not a "
-                f"Kraus map (need dom = ancilla * cod, ancilla real nonzero)")
 
 
 class CplaneChannel(NamedTuple):
@@ -77,16 +57,18 @@ class CplaneChannel(NamedTuple):
         return 0.0 if self.equiv(other) else abs(self.ratio - other.ratio)
 
 
-def cplane_channel(k: CplaneKraus) -> CplaneChannel:
-    return CplaneChannel(k.dom, k.cod,
-                         None if _close(k.cod, 0.0) else k.ancilla)
-
-
-def cplane_equiv(k1: CplaneKraus, k2: CplaneKraus) -> bool:
-    """Decide channel equivalence in closed form; a representative that
-    bypassed validation is equivalent to nothing."""
-    same = cplane_channel(k1).equiv(cplane_channel(k2))
-    return same and all(kraus_valid(k.dom, k.ancilla, k.cod) for k in (k1, k2))
+def cplane_equiv(k1, k2) -> bool:
+    """Decide equivalence of two discrete-model representatives in closed
+    form; one that ``kraus_new`` would not build as it stands (its body
+    fails the Kraus condition, or its fields disagree with its body) is
+    equivalent to nothing."""
+    m = get_model(k1.model)
+    same = m.canonical(k1).equiv(m.canonical(k2))
+    try:
+        return same and all(kraus_new(k.body, k.ancilla) == k
+                            for k in (k1, k2))
+    except TypingError:
+        return False
 
 
 class CplaneModel(Model):
@@ -162,18 +144,21 @@ class CplaneModel(Model):
         return abs(z - (z if first == second else self.interpret(second)))
 
     def check_payload(self, f: Morphism) -> None:
-        if not self.same_object(self.interpret(f.dom), self.interpret(f.cod)):
+        """The Kraus condition on a body ``c -> Par(r, c')``: r is a nonzero
+        real and ``c = r * c'``."""
+        r = self.interpret(f.cod.left)
+        if (abs(r.imag) > REL_TOL * max(1.0, abs(r)) or r.real == 0
+                or not _close(self.interpret(f.dom),
+                              complex(r.real) * self.interpret(f.cod.right))):
             raise TypingError(
-                "no such identity map: dom and codomain evaluate differently "
-                "(need dom = ancilla * cod)")
+                f"{f.dom!r} -> {f.cod!r} is not a Kraus map (need dom = "
+                f"ancilla * cod, with the ancilla a nonzero real)")
 
     def canonical(self, k) -> CplaneChannel:
-        anc = self.interpret(k.ancilla)
-        if abs(anc.imag) > REL_TOL * max(1.0, abs(anc)):
-            raise TypingError(
-                "ancilla of a discrete-model channel must be real")
-        return cplane_channel(CplaneKraus(self.interpret(k.dom),
-                                          self.interpret(k.cod), anc.real))
+        # kraus_new checked the body, so the ancilla is a nonzero real
+        cod = self.interpret(k.cod)
+        ratio = None if _close(cod, 0.0) else self.interpret(k.ancilla).real
+        return CplaneChannel(self.interpret(k.dom), cod, ratio)
 
     def random_object(self, rng, unitary: bool = False) -> ObjectExpr:
         if unitary:

@@ -403,9 +403,6 @@ class FmatModel(Model):
             return self.interpret(expr.inner).flip()
         raise TypeError(f"not an object expression: {expr!r}")
 
-    def same_object(self, first, second) -> bool:
-        return first == second
-
     # payload algebra ----------------------------------------------------------
     def identity_payload(self, expr: ObjectExpr) -> SparseMatrix:
         return sparse_identity(self.interpret(expr))

@@ -271,7 +271,8 @@ class ChoiFactor:
     (out, in) double-index convention.  Two forms compare through
     ``D = X1 X1^ - X2 X2^``, formed directly when ``b*a <= u1 + u2`` and
     otherwise on ``[R1 R2] = R``, the R of one QR of ``[X1 X2]``, where it is
-    only ``(u1+u2) x (u1+u2)``.  No Choi matrix is ever built.
+    only ``(u1+u2) x (u1+u2)``.  No Choi matrix is ever built, and no array
+    beyond ``ENTRY_LIMIT`` entries: the size guard sits in ``deviation``.
     """
 
     factor: np.ndarray
@@ -289,9 +290,14 @@ class ChoiFactor:
             raise DomCodMismatch(f"channel types differ: {dims} vs "
                                  f"{(other.dim_in, other.dim_out)}")
         x1, x2 = self.factor, other.factor
-        u1 = x1.shape[1]
+        n, u1 = x1.shape
+        # both paths form n x min(n, u1 + u2) arrays: [X1 X2] or D
+        width = min(n, u1 + x2.shape[1])
+        if n * width > ENTRY_LIMIT:
+            raise DimensionOverflow(f"Choi comparison {n}x{width} exceeds "
+                                    f"{ENTRY_LIMIT} entries")
         with np.errstate(over="ignore", invalid="ignore"):
-            if x1.shape[0] > u1 + x2.shape[1]:
+            if n > u1 + x2.shape[1]:
                 # [X1 X2] = Q R and Q has orthonormal columns, so the
                 # Frobenius norm of D is the same on R's columns
                 r = np.linalg.qr(np.concatenate((x1, x2), axis=1), mode="r")
@@ -317,10 +323,10 @@ class ChoiFactor:
 def choi_factor(body: np.ndarray, ancilla_dim: int,
                 dim_out: int) -> ChoiFactor:
     """The canonical form of the Kraus body ``(u*b) x a`` (ancilla wire
-    first): its ``(b*a) x u`` factor, size-guarded before anything is
-    allocated.  An empty ancilla gives the zero channel's ``(b*a) x 0``."""
+    first): its ``(b*a) x u`` factor, a view of a contiguous body, so only
+    ``ChoiFactor.deviation`` guards sizes.  An empty ancilla gives the zero
+    channel's ``(b*a) x 0``."""
     a, b = body.shape[1], dim_out
-    _check_size(b * a, ancilla_dim, "Choi factor")
     x = body.reshape(ancilla_dim, b * a).T
     x.flags.writeable = False
     return ChoiFactor(x, a, b)
@@ -356,9 +362,6 @@ class MatModel(Model):
         if kind is Dagger or kind is Dual:
             return self.interpret(expr.inner)
         raise TypeError(f"not an object expression: {expr!r}")
-
-    def same_object(self, first, second) -> bool:
-        return first == second
 
     # payload algebra -------------------------------------------------------
     def identity_payload(self, expr: ObjectExpr) -> np.ndarray:

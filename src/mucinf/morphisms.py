@@ -52,7 +52,7 @@ class Model:
         raise NotImplementedError
 
     def same_object(self, first: Any, second: Any) -> bool:
-        raise NotImplementedError
+        return first == second
 
     # --- payload algebra ------------------------------------------------
     def identity_payload(self, expr: ObjectExpr) -> Any:
@@ -156,8 +156,8 @@ class Model:
 _REGISTRY: Dict[str, Model] = {}
 
 
-def register_model(model: Model, replace: bool = False) -> None:
-    if model.name in _REGISTRY and not replace:
+def register_model(model: Model) -> None:
+    if model.name in _REGISTRY:
         raise ValueError(f"model {model.name!r} already registered")
     _REGISTRY[model.name] = model
 

@@ -118,11 +118,3 @@ class Dual(ObjectExpr):
 
 TOP = TensorUnit()
 BOT = ParUnit()
-
-
-def dag(expr: ObjectExpr) -> Dagger:
-    return Dagger(expr)
-
-
-def dual(expr: ObjectExpr) -> Dual:
-    return Dual(expr)

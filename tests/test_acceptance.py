@@ -11,20 +11,21 @@ import numpy as np
 import pytest
 
 from mucinf import cpinf
-from mucinf.cplane import CplaneKraus, cplane_equiv, kraus_valid
+from mucinf.cplane import cplane_equiv
 from mucinf.cpinf import (channel_action, equiv_decide,
                           equiv_testmap_oracle, equivalent_variant,
                           functor_Q, initiality_probe, kraus_compose,
-                          kraus_dagger, kraus_identity, kraus_tensor,
-                          pure_decomposition, purify, random_channel,
-                          random_density, to_choi)
+                          kraus_dagger, kraus_identity, kraus_new,
+                          kraus_tensor, pure_decomposition, purify,
+                          random_channel, random_density, to_choi)
+from mucinf.errors import TypingError
 from mucinf.fmat import (FiniteIndex, check_finiteness_relation,
                          explicit_family, family_subset, fmat_compose,
                          include_mat, perp)
 from mucinf.laws import catalog, check_law
 from mucinf.matc import hermitian_eig
-from mucinf.morphisms import get_model
-from mucinf.objects import Base
+from mucinf.morphisms import Morphism, get_model
+from mucinf.objects import Base, Par
 from mucinf.suite import SuiteConfig, run_suite
 from mutants import HalvedDiscard, PermutedDiscard, registered
 
@@ -143,6 +144,17 @@ def test_criterion_5_environment_structure():
         assert probe.passed, probe
 
 
+def cplane_rep(c, r, cp):
+    """The discrete-model representative (=, r): c -> c', or None where
+    ``kraus_new`` refuses it."""
+    body = Morphism("cplane", Base(complex(c)),
+                    Par(Base(complex(r)), Base(complex(cp))), None)
+    try:
+        return kraus_new(body, Base(complex(r)))
+    except TypingError:
+        return None
+
+
 def test_criterion_6_cplane_projective_classes():
     with criterion(6, "discrete-model equivalence matches the projective "
                       "characterization"):
@@ -152,7 +164,7 @@ def test_criterion_6_cplane_projective_classes():
         for c in cs:
             for r in rs:
                 for cp in cs:
-                    valid = kraus_valid(c, r, cp)
+                    valid = cplane_rep(c, r, cp) is not None
                     colinear = (r != 0
                                 and abs(c - r * cp) <= 1e-12 * max(1, abs(c)))
                     assert valid == colinear, (c, r, cp)
@@ -161,11 +173,11 @@ def test_criterion_6_cplane_projective_classes():
         # classes: into zero everything collapses, otherwise the ratio is
         # pinned, so representatives are equivalent exactly when equal
         for c, cp in [(0, 0), (2, 1), (3, 1.5), (-2, 4)]:
-            ratios = [r for r in rs if kraus_valid(c, r, cp)]
+            ratios = [r for r in rs if cplane_rep(c, r, cp) is not None]
             for r1 in ratios:
                 for r2 in ratios:
-                    equiv = cplane_equiv(CplaneKraus(c, cp, r1),
-                                         CplaneKraus(c, cp, r2))
+                    equiv = cplane_equiv(cplane_rep(c, r1, cp),
+                                         cplane_rep(c, r2, cp))
                     expected = True if cp == 0 else (r1 == r2)
                     assert equiv == expected, (c, cp, r1, r2)
             if cp != 0:

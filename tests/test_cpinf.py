@@ -23,8 +23,8 @@ from mucinf.cpinf import (channel_action, channel_deviation, env_discard,
                           pure_decomposition, purify, random_channel,
                           random_density, to_choi)
 from mucinf.cplane import CplaneChannel
-from mucinf.errors import (DomCodMismatch, NotPSD, TypingError,
-                           UnsupportedInModel)
+from mucinf.errors import (DomCodMismatch, ModelMismatch, NotPSD,
+                           TypingError, UnsupportedInModel)
 from mucinf.fmat import to_dense
 from mucinf.laws import check_law
 from mucinf.matc import mat_identity, random_unitary
@@ -305,6 +305,16 @@ class TestTensors:
             # columns it touches, where the formed rewiring's zeros
             # spread it over all 16 rows (32 entries)
             assert np.isnan(out.body.payload).sum() == 16
+
+    @pytest.mark.parametrize("product", [kraus_tensor, kraus_par],
+                             ids=["tensor", "par"])
+    def test_channels_of_two_models_are_refused(self, product):
+        # the product of the two bodies refuses them, as tensor and par do
+        k = random_channel(MAT, RNG)
+        other = kraus_identity("cplane", Base(2 + 0j))
+        for pair in ((k, other), (other, k)):
+            with pytest.raises(ModelMismatch):
+                product(*pair)
 
 
 class TestChoi:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucinf.cplane import (CPLANE, CplaneKraus, CplaneModel, cplane_equiv,
-                           kraus_valid)
+from mucinf.cpinf import KrausMorphism, kraus_new
+from mucinf.cplane import CPLANE, CplaneModel, cplane_equiv
 from mucinf.errors import DomCodMismatch, TypingError
 from mucinf.morphisms import Morphism, deviation
 from mutants import registered
@@ -148,42 +148,70 @@ def test_a_shared_non_finite_end_is_an_infinite_deviation(bad):
             assert m.deviation(f, f) == math.inf and m.top_calls == 2
 
 
+def cp_body(c, r, cp):
+    return Morphism("cplane", Base(complex(c)),
+                    Par(Base(complex(r)), Base(complex(cp))), None)
+
+
+def cp_kraus(c, r, cp):
+    return kraus_new(cp_body(c, r, cp), Base(complex(r)))
+
+
+def kraus_valid(c, r, cp):
+    """Whether ``kraus_new`` admits (=, r): c -> c' as a representative."""
+    try:
+        cp_kraus(c, r, cp)
+    except TypingError:
+        return False
+    return True
+
+
 class TestKrausValid:
     def test_examples(self):
         assert kraus_valid(6, 2, 3)
         assert not kraus_valid(6, 3, 3)
         assert kraus_valid(0, 5, 0)
 
+    # each body below evaluates dom = ancilla * cod, so only the Kraus
+    # condition refuses it, and kraus_new does so before any use
     def test_zero_ratio_is_not_an_ancilla(self):
-        assert not kraus_valid(0, 0, 3)
+        for c, cp in ((0, 3), (0, 0)):
+            with pytest.raises(TypingError, match="not a Kraus map"):
+                cp_kraus(c, 0, cp)
 
     def test_complex_ratio_rejected(self):
-        assert not kraus_valid(2j, 2j, 1)
+        for c, r, cp in ((2j, 2j, 1), (2, 2j, -1j), (0, 1 + 1j, 0)):
+            with pytest.raises(TypingError, match="not a Kraus map"):
+                cp_kraus(c, r, cp)
 
 
 class TestCplaneEquiv:
     def test_equal_ratios(self):
-        k = CplaneKraus(6, 3, 2.0)
-        assert cplane_equiv(k, CplaneKraus(6, 3, 2.0))
+        k = cp_kraus(6, 2.0, 3)
+        assert cplane_equiv(k, cp_kraus(6, 2.0, 3))
 
     def test_everything_into_zero_is_identified(self):
-        assert cplane_equiv(CplaneKraus(0, 0, 2.0), CplaneKraus(0, 0, 5.0))
+        assert cplane_equiv(cp_kraus(0, 2.0, 0), cp_kraus(0, 5.0, 0))
 
     def test_invalid_representative_reports_false(self):
-        k = CplaneKraus(6, 3, 2.0)
-        bad = object.__new__(CplaneKraus)  # bypass validation deliberately
-        object.__setattr__(bad, "dom", 6 + 0j)
-        object.__setattr__(bad, "cod", 3 + 0j)
-        object.__setattr__(bad, "ancilla", 2.0001)
+        k = cp_kraus(6, 2.0, 3)
+        # built without kraus_new, so the Kraus condition was never checked
+        bad = KrausMorphism("cplane", Base(6 + 0j), Base(3 + 0j),
+                            Base(2.0001 + 0j), cp_body(6, 2.0001, 3))
         assert not cplane_equiv(k, bad)
+        assert not cplane_equiv(bad, bad)
+        # a valid body under an ancilla field it does not carry
+        relabelled = KrausMorphism("cplane", Base(6 + 0j), Base(3 + 0j),
+                                   Base(5 + 0j), cp_body(6, 2.0, 3))
+        assert not cplane_equiv(relabelled, relabelled)
 
     def test_dom_cod_mismatch(self):
         with pytest.raises(DomCodMismatch):
-            cplane_equiv(CplaneKraus(6, 3, 2.0), CplaneKraus(4, 2, 2.0))
+            cplane_equiv(cp_kraus(6, 2.0, 3), cp_kraus(4, 2.0, 2))
 
     def test_constructor_rejects_invalid(self):
         with pytest.raises(TypingError):
-            CplaneKraus(6, 3, 3.0)
+            cp_kraus(6, 3.0, 3)
 
 
 def projective_oracle(c, r, c_prime):

@@ -345,7 +345,7 @@ def test_dense_round_trips_are_size_guarded():
     body = Morphism("fmat", Base(big), cod,
                     SparseMatrix(big, FMAT.interpret(cod), ()))
     k = kraus_new(body, Base(one))
-    # its Choi factor is 5000 x 5000, past the entry limit
+    # its dense body is 5000 x 5000, past the entry limit
     wide_cod = Par(Base(one), Base(big))
     wide = kraus_new(Morphism("fmat", Base(big), wide_cod,
                               SparseMatrix(big, FMAT.interpret(wide_cod),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mucinf.cpinf import equiv_decide, kraus_new, random_channel
 from mucinf.errors import DimensionOverflow, NotHermitian, ShapeMismatch
 from mucinf.matc import (DIM_LIMIT, ENTRY_LIMIT, MAT, _freeze,
                          apply_channel, bell_counit, bell_unit,
@@ -255,6 +256,34 @@ class TestSizeGuard:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    def test_a_factor_past_the_side_limit_still_compares(self):
+        # 324 -> 324 with ancilla 1: the factor is a 104976 x 1 view of the
+        # body, and comparing two of them forms 104976 x 2 entries
+        assert 324 ** 2 > DIM_LIMIT
+        k = random_channel(MAT, RNG, Base(324), Base(324), Base(1))
+        tracemalloc.start()
+        try:
+            assert equiv_decide(k, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_a_comparison_past_the_entry_limit_is_refused_unformed(self):
+        # a zero-stride body allocates nothing; comparing 4096 -> 4096 with
+        # ancilla 1 would form [X1 X2] on 2^24 x 2 entries, 512 MiB
+        ones = np.broadcast_to(np.complex128(1), (4096, 4096))
+        k = kraus_new(Morphism("mat", Base(4096), Par(Base(1), Base(4096)),
+                               ones), Base(1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverflow, match="Choi comparison"):
+                equiv_decide(k, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_an_empty_ancilla_glues_to_zero(self):
         body = _freeze(np.zeros((0, 2)))

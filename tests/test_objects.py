@@ -9,8 +9,7 @@ import pytest
 from mucinf.cpinf import KrausMorphism
 from mucinf.morphisms import Morphism
 from mucinf.objects import (BOT, TOP, Base, Dagger, Dual, ObjectExpr, Par,
-                            ParUnit, Tensor, TensorUnit, dag, dual,
-                            value_type)
+                            ParUnit, Tensor, TensorUnit, value_type)
 
 
 def test_structural_equality_and_hash():
@@ -25,8 +24,6 @@ def test_operators_build_trees():
     a, b = Base(2), Base(3)
     assert a * b == Tensor(a, b)
     assert a + b == Par(a, b)
-    assert dag(a) == Dagger(a)
-    assert dual(a) == Dual(a)
 
 
 def test_no_quotienting_by_coherence():
