@@ -23,7 +23,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import cpinf, jsonio
-from .errors import MucinfError
+from .errors import MucinfError, TypingError
 from .suite import SuiteConfig, list_laws, run_suite
 
 
@@ -47,7 +47,10 @@ def _emit(payload, out_path, seed, tol):
 
 def _load(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder's, on deeply nested arrays
+            raise TypingError(f"{path}: JSON nested too deeply") from None
 
 
 def _channel(path):

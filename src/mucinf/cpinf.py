@@ -1,7 +1,7 @@
 """Channels over a mixed-unitary model.
 
-A channel representative is a morphism ``f : A -> U + B`` together with its
-ancilla ``U`` drawn from the unitary subcategory.  Representatives are
+A channel representative is a morphism ``f : A -> U + B``, whose ancilla,
+the factor ``U``, is drawn from the unitary subcategory.  Representatives are
 identified when no test map can distinguish them.  Each model decides that
 relation through its own canonical form (``Model.canonical``): a factor of
 the Choi matrix in the dense model and in the finite fragment of ``fmat``,
@@ -26,6 +26,7 @@ table (``suite``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 from typing import List, Optional
 
@@ -38,41 +39,43 @@ from .laws import (LawCheckReport, fold_deviation, positive_count,
 from .matc import ChoiMatrix
 from .morphisms import (Model, Morphism, dagger, get_model, identity, par,
                         tensor, then_par, then_tensor)
-from .objects import (Base, Dagger, Dual, ObjectExpr, Par, Tensor,
-                      value_type)
+from .objects import Base, Dagger, Dual, ObjectExpr, Par, Tensor
 from .structural import structural
 
 RANK_CUTOFF = 1e-10  # purify keeps eigenvalues above this share of the peak
 MIN_GAP = 1e-3  # the least deviation between distinct_pair's channels
 
 
-@value_type
+@dataclass(frozen=True)
 class KrausMorphism:
-    """A channel representative: body ``dom -> Par(ancilla, cod)``."""
+    """A channel representative: its body ``dom -> Par(ancilla, cod)``, off
+    which the model, ends and ancilla are read, and which building checks."""
 
-    model: str
-    dom: ObjectExpr
-    cod: ObjectExpr
-    ancilla: ObjectExpr
     body: Morphism
+
+    def __post_init__(self):
+        if not isinstance(self.body.cod, Par):
+            raise TypingError(f"body codomain must be Par(ancilla, cod), "
+                              f"got {self.body.cod!r}")
+        get_model(self.body.model).check_payload(self.body)
+
+    model = property(lambda self: self.body.model)
+    dom = property(lambda self: self.body.dom)
+    cod = property(lambda self: self.body.cod.right)
+    ancilla = property(lambda self: self.body.cod.left)
 
 
 def _model_of(k: KrausMorphism) -> Model:
     return get_model(k.model)
 
 
-def validate_body(f: Morphism, ancilla: ObjectExpr) -> None:
-    if not (isinstance(f.cod, Par) and f.cod.left == ancilla):
-        raise TypingError(
-            "body codomain must be Par(ancilla, cod), got "
-            f"{f.cod!r} with ancilla {ancilla!r}")
-    get_model(f.model).check_payload(f)
-
-
 def kraus_new(f: Morphism, ancilla: ObjectExpr) -> KrausMorphism:
-    """Wrap a morphism ``A -> Par(U, B)`` as a channel representative."""
-    validate_body(f, ancilla)
-    return KrausMorphism(f.model, f.dom, f.cod.right, ancilla, f)
+    """Wrap a morphism ``A -> Par(U, B)`` as a channel representative;
+    ``ancilla`` must be ``U``."""
+    k = KrausMorphism(f)
+    if k.ancilla != ancilla:
+        raise TypingError(f"body {f.cod!r} does not carry ancilla {ancilla!r}")
+    return k
 
 
 def kraus_identity(model: Model | str, a: ObjectExpr) -> KrausMorphism:

@@ -12,9 +12,9 @@ exactly.
 
 Kraus maps here admit a closed form: a channel representative ``c -> c'``
 with ancilla ``r`` exists precisely when ``c = r * c'`` with r a nonzero
-real.  ``CplaneModel.check_payload`` carries that condition, so
-``cpinf.kraus_new`` refuses every other body; ``canonical`` then only reads
-the ancilla ratio off a representative.
+real.  ``CplaneModel.check_payload`` carries that condition, which building a
+``cpinf.KrausMorphism`` checks, so ``canonical`` and ``cplane_equiv`` only
+read the ancilla ratio off a representative.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 from typing import NamedTuple, Optional
 
-from .cpinf import kraus_new
 from .errors import (DomCodMismatch, ShapeMismatch, TypingError,
                      UnsupportedInModel)
 from .laws import fold_deviation
@@ -59,16 +58,9 @@ class CplaneChannel(NamedTuple):
 
 def cplane_equiv(k1, k2) -> bool:
     """Decide equivalence of two discrete-model representatives in closed
-    form; one that ``kraus_new`` would not build as it stands (its body
-    fails the Kraus condition, or its fields disagree with its body) is
-    equivalent to nothing."""
+    form."""
     m = get_model(k1.model)
-    same = m.canonical(k1).equiv(m.canonical(k2))
-    try:
-        return same and all(kraus_new(k.body, k.ancilla) == k
-                            for k in (k1, k2))
-    except TypingError:
-        return False
+    return m.canonical(k1).equiv(m.canonical(k2))
 
 
 class CplaneModel(Model):
@@ -155,7 +147,7 @@ class CplaneModel(Model):
                 f"ancilla * cod, with the ancilla a nonzero real)")
 
     def canonical(self, k) -> CplaneChannel:
-        # kraus_new checked the body, so the ancilla is a nonzero real
+        # building k checked its body, so the ancilla is a nonzero real
         cod = self.interpret(k.cod)
         ratio = None if _close(cod, 0.0) else self.interpret(k.ancilla).real
         return CplaneChannel(self.interpret(k.dom), cod, ratio)

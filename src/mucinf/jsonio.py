@@ -225,7 +225,8 @@ def fmat_from_json(d: dict) -> SparseMatrix:
 def fmat_check_report(d: dict) -> dict:
     """Granular validity report for a finiteness-matrix file: are the two
     space descriptions perp pairs, and is the support a finiteness relation?
-    Never raises on invalid content; it reports instead."""
+    Invalid content is reported, not raised, but an explicit family over
+    more than ``MAX_EXPLICIT`` labels is refused with ``DimensionOverflow``."""
     from .fmat import check_finiteness_relation, check_finiteness_space
 
     out = {"src_space_valid": False, "tgt_space_valid": False,

@@ -414,8 +414,7 @@ class MatModel(Model):
 
     # channels ----------------------------------------------------------------
     def check_payload(self, f: Morphism) -> None:
-        rows, cols = f.payload.shape
-        if rows != self.interpret(f.cod) or cols != self.interpret(f.dom):
+        if f.payload.shape != (self.interpret(f.cod), self.interpret(f.dom)):
             raise TypingError(
                 f"payload shape {f.payload.shape} does not match typing")
 

@@ -7,16 +7,16 @@ quotienting by coherence isomorphisms happens here.  Each model decides how
 an expression is interpreted (a dimension, a complex number, a finiteness
 space) and whether two interpretations coincide.
 
-The node classes here, ``Morphism`` and ``KrausMorphism``, are declared with
-``value_type``.  Checking one law builds many fresh trees and arrows, and a
-frozen dataclass stores each field through ``object.__setattr__``, which made
-construction the largest cost left in a law pass.  ``value_type`` keeps what
+The node classes here and ``Morphism`` are declared with ``value_type``.
+Checking one law builds many fresh trees and arrows, and a frozen dataclass
+stores each field through ``object.__setattr__``, which made construction
+the largest cost left in a law pass.  ``value_type`` keeps what
 a frozen dataclass gives (assignment raises ``FrozenInstanceError``; the
 generated ``__eq__`` and ``__hash__``; the same ``repr`` text) and adds slots,
 an ``__init__`` that stores through the slot descriptors and a ``__repr__``
 without the recursion guard, which no finite tree needs.  A class that
-validates in ``__post_init__`` or has field defaults stays a plain frozen
-dataclass.
+validates in ``__post_init__`` (``cpinf.KrausMorphism``, which checks its
+body) or has field defaults stays a plain frozen dataclass.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import pytest
 
 from mucinf import cli, cpinf, jsonio
 from mucinf.cli import build_parser, main
-from mucinf.fmat import include_mat
+from mucinf.fmat import MAX_EXPLICIT, include_mat
 from mucinf.matc import MAT
 from mucinf.objects import Base
 
@@ -294,6 +294,29 @@ def test_fmat_check_refuses_a_long_member_before_closing_it(tmp_path,
     assert err == ("error: DimensionOverflow: power family over 20 labels "
                    "is beyond desk scale\n")
     assert peak < 2 ** 20
+
+
+def test_fmat_check_refuses_one_label_beyond_desk_scale(tmp_path, capsys):
+    labels = list(range(MAX_EXPLICIT + 1))
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({
+        "src": {"X": labels, "A": [labels], "B": [labels]},
+        "tgt": {"X": "omega", "A": "fin", "B": "all"},
+        "entries": []}))
+    code, out, err = run(capsys, "fmat-check", str(p))
+    assert code == 2 and out == ""
+    assert err == (f"error: DimensionOverflow: power family over "
+                   f"{MAX_EXPLICIT + 1} labels is beyond desk scale\n")
+
+
+@pytest.mark.parametrize("command", ["channel-choi", "fmat-check"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+    # the decoder recurses once per array, so this exhausts any stack limit
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2 and out == ""
+    assert err == f"error: TypingError: {p}: JSON nested too deeply\n"
 
 
 def test_channel_choi_refuses_an_oversized_choi_matrix(tmp_path, capsys):

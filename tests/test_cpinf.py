@@ -146,11 +146,36 @@ class TestConstruction:
     def test_wrong_shape_rejected(self):
         with pytest.raises(TypingError):
             make_kraus(np.zeros((5, 2)), 2, 3, 2)
+        # a payload of another rank, which no (rows, cols) unpacks
+        for payload in (np.zeros(12), np.zeros((6, 2, 1))):
+            with pytest.raises(TypingError):
+                make_kraus(payload, 2, 3, 2)
 
     def test_wrong_codomain_shape_rejected(self):
         f = Morphism("mat", Base(2), Base(2), mat_identity(2))
         with pytest.raises(TypingError):
             kraus_new(f, Base(1))
+
+    def test_a_relabelled_body_is_refused_when_built(self):
+        # a 2 -> 2 channel of ancilla 2 relabelled with ancilla 3: its 4 x 2
+        # payload does not fit Par(3, 2), which equiv_decide once met as
+        # numpy's "cannot reshape array of size 8 into shape (3,4)"
+        k = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
+        relabelled = replace(k.body, cod=Par(Base(3), Base(2)))
+        with pytest.raises(TypingError):
+            cpinf.KrausMorphism(relabelled)
+        with pytest.raises(TypingError):
+            replace(k, body=relabelled)
+
+    def test_replace_reads_the_fields_off_the_new_body(self):
+        k = random_channel(MAT, RNG, Base(2), Base(2), Base(2))
+        # an extra ancilla wire whose Kraus block is zero
+        padded = replace(k.body, cod=Par(Base(3), Base(2)), payload=np.vstack(
+            [k.body.payload, np.zeros((2, 2))]))
+        k3 = replace(k, body=padded)
+        assert (k3.model, k3.dom, k3.cod, k3.ancilla) == (
+            "mat", Base(2), Base(2), Base(3))
+        assert equiv_decide(k, k3)
 
     def test_cplane_identity_has_unit_ratio(self):
         k = kraus_identity("cplane", Base(5 + 0j))

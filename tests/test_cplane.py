@@ -193,17 +193,16 @@ class TestCplaneEquiv:
     def test_everything_into_zero_is_identified(self):
         assert cplane_equiv(cp_kraus(0, 2.0, 0), cp_kraus(0, 5.0, 0))
 
-    def test_invalid_representative_reports_false(self):
-        k = cp_kraus(6, 2.0, 3)
-        # built without kraus_new, so the Kraus condition was never checked
-        bad = KrausMorphism("cplane", Base(6 + 0j), Base(3 + 0j),
-                            Base(2.0001 + 0j), cp_body(6, 2.0001, 3))
-        assert not cplane_equiv(k, bad)
-        assert not cplane_equiv(bad, bad)
-        # a valid body under an ancilla field it does not carry
-        relabelled = KrausMorphism("cplane", Base(6 + 0j), Base(3 + 0j),
-                                   Base(5 + 0j), cp_body(6, 2.0, 3))
-        assert not cplane_equiv(relabelled, relabelled)
+    def test_invalid_representative_is_refused(self):
+        # built without kraus_new, the Kraus condition is still checked, so
+        # no representative reaches cplane_equiv with a failing body
+        with pytest.raises(TypingError):
+            KrausMorphism(cp_body(6, 2.0001, 3))
+        # the ancilla is read off the body, so kraus_new refuses a caller's
+        # ancilla that the body does not carry
+        assert KrausMorphism(cp_body(6, 2.0, 3)).ancilla == Base(2.0 + 0j)
+        with pytest.raises(TypingError):
+            kraus_new(cp_body(6, 2.0, 3), Base(5 + 0j))
 
     def test_dom_cod_mismatch(self):
         with pytest.raises(DomCodMismatch):

@@ -60,13 +60,15 @@ class TestChannel:
         assert cpinf.equiv_decide(k, again)
         assert np.array_equal(k.body.payload, again.body.payload)
 
-    def test_writer_refuses_a_bool_dimension(self):
+    def test_a_bool_dimension_is_refused_when_built(self):
         # ``mat`` once read Base(True) as dimension 1, and the writer then
-        # wrote ``"dom": true``, which the reader refuses
+        # wrote ``"dom": true``, which the reader refuses; now no
+        # representative with such a body reaches the writer
         k = cpinf.random_channel(MAT, RNG, Base(1), Base(2), Base(1))
-        bad = replace(k, dom=Base(True), body=replace(k.body, dom=Base(True)))
         with pytest.raises(ShapeMismatch):
-            jsonio.channel_to_json(bad)
+            replace(k, body=replace(k.body, dom=Base(True)))
+        with pytest.raises(ShapeMismatch):
+            cpinf.KrausMorphism(replace(k.body, dom=Base(True)))
 
     def test_shape_validation(self):
         k = cpinf.random_channel(MAT, RNG, Base(2), Base(3), Base(2))
@@ -161,6 +163,19 @@ class TestFmat:
             jsonio.fmat_from_json(d)
         report = jsonio.fmat_check_report(d)
         assert not report["valid"] and "32 deep" in report["error"]
+
+    def test_check_report_refuses_a_family_beyond_desk_scale(self):
+        # a size refusal, not a verdict: the family is never closed
+        for n in (MAX_EXPLICIT, MAX_EXPLICIT + 1):
+            labels = list(range(n))
+            d = {"src": {"X": labels, "A": [labels], "B": [labels]},
+                 "tgt": {"X": "omega", "A": "fin", "B": "all"},
+                 "entries": []}
+            if n > MAX_EXPLICIT:
+                with pytest.raises(DimensionOverflow):
+                    jsonio.fmat_check_report(d)
+            else:
+                assert jsonio.fmat_check_report(d)["src_space_valid"]
 
     def test_check_report_valid(self):
         m = include_mat(np.eye(2))

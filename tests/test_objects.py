@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mucinf.cpinf import KrausMorphism
+from mucinf.errors import TypingError
 from mucinf.morphisms import Morphism
 from mucinf.objects import (BOT, TOP, Base, Dagger, Dual, ObjectExpr, Par,
                             ParUnit, Tensor, TensorUnit, value_type)
@@ -36,7 +37,8 @@ def test_no_quotienting_by_coherence():
 
 A_TREE = Tensor(Base(2), Par(Dagger(Base(3)), BOT))
 A_ARROW = Morphism("cplane", Base(2.0), Par(Base(1.0), Base(2.0)), None)
-# one instance of each class the helper decorates, built by keyword
+# one instance of each class the helper decorates, and of KrausMorphism,
+# built by keyword
 INSTANCES = {
     ObjectExpr: ObjectExpr(),
     Base: Base(label=1),
@@ -48,11 +50,10 @@ INSTANCES = {
     Dual: Dual(inner=Base(3)),
     Morphism: Morphism(model="cplane", dom=Base(2j), cod=Base(2j),
                        payload=None),
-    KrausMorphism: KrausMorphism(model="cplane", dom=Base(2.0),
-                                 cod=Base(2.0), ancilla=Base(1.0),
-                                 body=A_ARROW),
+    KrausMorphism: KrausMorphism(body=A_ARROW),
 }
 # the signatures and repr texts of the plain frozen dataclasses these were
+# (KrausMorphism's signature is that of its one field)
 SIGNATURES = {
     ObjectExpr: "() -> None",
     Base: "(label: 'Any') -> None",
@@ -64,8 +65,7 @@ SIGNATURES = {
     Dual: "(inner: 'ObjectExpr') -> None",
     Morphism: "(model: 'str', dom: 'ObjectExpr', cod: 'ObjectExpr', "
               "payload: 'Any') -> None",
-    KrausMorphism: "(model: 'str', dom: 'ObjectExpr', cod: 'ObjectExpr', "
-                   "ancilla: 'ObjectExpr', body: 'Morphism') -> None",
+    KrausMorphism: "(body: 'Morphism') -> None",
 }
 REPRS = [
     (ObjectExpr(), "ObjectExpr()"),
@@ -86,13 +86,11 @@ REPRS = [
     (Morphism("mat", Base(1), Par(Base(1), Base(1)), np.array([[1 + 0j]])),
      "Morphism(model='mat', dom=Base(label=1), cod=Par(left=Base(label=1), "
      "right=Base(label=1)), payload=array([[1.+0.j]]))"),
-    (KrausMorphism("cplane", Base(2.0), Base(2.0), Base(1.0), A_ARROW),
-     "KrausMorphism(model='cplane', dom=Base(label=2.0), cod=Base(label=2.0),"
-     " ancilla=Base(label=1.0), body=Morphism(model='cplane', dom=Base("
-     "label=2.0), cod=Par(left=Base(label=1.0), right=Base(label=2.0)), "
-     "payload=None))"),
 ]
-VALUE_CLASSES = list(INSTANCES)
+FROZEN_CLASSES = list(INSTANCES)
+# KrausMorphism checks its body in __post_init__, so it is a plain frozen
+# dataclass: built and copied as the others are, but without slots
+VALUE_CLASSES = [c for c in FROZEN_CLASSES if c is not KrausMorphism]
 
 
 @pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda c: c.__name__)
@@ -106,7 +104,7 @@ def test_frozen_and_slotted(cls):
     assert not hasattr(obj, "__dict__")
 
 
-@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda c: c.__name__)
 def test_construction_and_signature(cls):
     obj = INSTANCES[cls]
     names = list(cls.__dataclass_fields__)
@@ -132,7 +130,7 @@ def test_repr_text_is_unchanged(obj, text):
     assert repr(obj) == text
 
 
-@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda c: c.__name__)
 def test_copies_round_trip(cls):
     obj = INSTANCES[cls]
     for twin in (copy.copy(obj), copy.deepcopy(obj),
@@ -145,6 +143,44 @@ def test_replace_builds_by_field_name():
     assert replace(A_TREE, left=TOP) == Tensor(TOP, A_TREE.right)
     body = replace(A_ARROW, dom=Base(3.0))
     assert body.dom == Base(3.0) and body.cod == A_ARROW.cod
+
+
+# --- KrausMorphism: one field, the body, checked when built ---------------
+
+A_KRAUS = INSTANCES[KrausMorphism]
+
+
+def test_kraus_morphism_reads_its_fields_off_the_body():
+    assert list(KrausMorphism.__dataclass_fields__) == ["body"]
+    assert repr(A_KRAUS) == (
+        "KrausMorphism(body=Morphism(model='cplane', dom=Base(label=2.0), "
+        "cod=Par(left=Base(label=1.0), right=Base(label=2.0)), payload=None))")
+    for twin in (A_KRAUS, copy.copy(A_KRAUS), copy.deepcopy(A_KRAUS),
+                 pickle.loads(pickle.dumps(A_KRAUS)), replace(A_KRAUS)):
+        assert twin.model == "cplane" and twin.dom == A_ARROW.dom
+        assert twin.cod == A_ARROW.cod.right
+        assert twin.ancilla == A_ARROW.cod.left
+
+
+def test_kraus_morphism_is_frozen():
+    for name in ["body", "model", "dom", "cod", "ancilla", "extra"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(A_KRAUS, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(A_KRAUS, name)
+    assert A_KRAUS.body is A_ARROW
+
+
+def test_kraus_morphism_replace_checks_the_new_body():
+    body = Morphism("cplane", Base(6.0), Par(Base(2.0), Base(3.0)), None)
+    k = replace(A_KRAUS, body=body)
+    assert (k.dom, k.cod, k.ancilla) == (Base(6.0), Base(3.0), Base(2.0))
+    # 6 is not 5 * 3, and a tensor codomain carries no ancilla
+    for cod in (Par(Base(5.0), Base(3.0)), Tensor(Base(2.0), Base(3.0))):
+        with pytest.raises(TypingError):
+            replace(A_KRAUS, body=replace(body, cod=cod))
+        with pytest.raises(TypingError):
+            KrausMorphism(replace(body, cod=cod))
 
 
 def test_the_helper_refuses_what_its_init_would_skip():
