@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from collections import namedtuple
@@ -24,6 +23,7 @@ import numpy as np
 
 from . import cpinf, jsonio
 from .errors import MucinfError, TypingError
+from .laws import positive_tolerance
 from .suite import SuiteConfig, list_laws, run_suite
 
 
@@ -145,10 +145,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     tol = args.tol
     try:
-        # positive as in SuiteConfig, and finite, as JSON has no NaN or inf
-        if not 0 < tol < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, "
-                             f"got {tol}")
+        # as in SuiteConfig; JSON has no NaN or inf either
+        positive_tolerance(tol)
         seed = args.seed if args.seed is not None else _default_seed()
         output, ok = COMMANDS[args.command].handler(args, seed, tol)
         _emit(output, args.out, seed, tol)

@@ -7,10 +7,11 @@ relation through its own canonical form (``Model.canonical``): a factor of
 the Choi matrix in the dense model and in the finite fragment of ``fmat``,
 a closed form in the discrete model.  A sampling oracle witnesses the test-map
 definition directly: it composes both sides of the defining equation
-literally from structural maps, builds each piece of that wiring once per
-call at the granularity it depends on (the call, the dimension ``c`` or
-the dimension ``x``), and applies it through ``then_tensor`` and
-``then_par``, which a model may realise without forming the product.
+literally from structural maps.  Each side is one closure
+(``_testmap_side``) that builds each piece of its wiring once, at the
+granularity it depends on (the call, the dimension ``c`` or the dimension
+``x``), and applies it through ``then_tensor`` and ``then_par``, which a
+model may realise without forming the product.
 
 The channel category built here inherits its two tensors, its mix structure
 and (over the dense model) its dagger from the base model.  The channel
@@ -27,13 +28,14 @@ table (``suite``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import List, Optional
 
 import numpy as np
 
 from . import matc
-from .errors import (DomCodMismatch, NotPSD, TypingError, UnsupportedInModel)
+from .errors import (DomCodMismatch, MucinfError, NotPSD, TypingError,
+                     UnsupportedInModel)
 from .laws import (LawCheckReport, fold_deviation, positive_count,
                    run_trials)
 from .matc import ChoiMatrix
@@ -44,6 +46,7 @@ from .structural import structural
 
 RANK_CUTOFF = 1e-10  # purify keeps eigenvalues above this share of the peak
 MIN_GAP = 1e-3  # the least deviation between distinct_pair's channels
+PAIR_DRAWS = 100  # distinct_pair's draws of a second channel before it fails
 
 
 @dataclass(frozen=True)
@@ -213,64 +216,50 @@ def equiv_decide(k1: KrausMorphism, k2: KrausMorphism,
 # the sampling oracle for the test-map definition of equivalence
 
 
-def _testmap_wiring(k: KrausMorphism) -> dict:
-    """The pieces of one side that depend neither on ``c`` nor on ``x``
-    of the test map ``h : B * C -> X``: the ancilla identities, the laxor
-    and the dagger of the body."""
-    m = _model_of(k)
-    u = k.ancilla
-    return {"id_u": identity(m, u), "id_du": identity(m, Dagger(u)),
-            "lam_tensor": structural(m, "lam_tensor", [u, k.cod]),
-            "f_dag": dagger(k.body)}
-
-
-def _testmap_wiring_c(k: KrausMorphism, c_expr: ObjectExpr) -> dict:
-    """The pieces of one side that depend on ``c`` alone, the test-map-free
-    prefix ``(f * 1) ; dr`` among them."""
-    m = _model_of(k)
-    u, a, b = k.ancilla, k.dom, k.cod
-
-    def s(name, *args):
-        return structural(m, name, list(args))
-
-    return {
-        "prefix": then_tensor(identity(m, Tensor(a, c_expr)), k.body,
-                              identity(m, c_expr)) >> s("dr", u, b, c_expr),
-        "lam_par_inv": s("lam_par_inv", b, c_expr),
-        "dl": s("dl", Dagger(u), Dagger(b), Dagger(c_expr)),
-        "id_dc": identity(m, Dagger(c_expr)),
-        "lam_par": s("lam_par", a, c_expr),
-    }
-
-
-def _testmap_mid(k: KrausMorphism, x_expr: ObjectExpr) -> Morphism:
-    """The piece of one side that depends on ``x`` alone:
-    ``mx^-1 ; (phi * phi) ; (rho * rho)``."""
-    m = _model_of(k)
-    u = k.ancilla
-
-    def s(name, *args):
-        return structural(m, name, list(args))
-
-    return then_tensor(then_tensor(s("mx_inv", u, x_expr),
-                                   s("phi", u), s("phi", x_expr)),
-                       s("rho", u), s("rho", x_expr))
-
-
-def _testmap_side(w: dict, wc: dict, mid: Morphism, h: Morphism) -> Morphism:
-    """One side of the defining equation: the test map ``h`` and its dagger
-    glued into the pieces ``w`` of ``_testmap_wiring``, ``wc`` of
-    ``_testmap_wiring_c`` and ``mid`` of ``_testmap_mid``, in the order of
-    the literal composite
+def _testmap_side(k: KrausMorphism):
+    """One side of the defining equation for ``k``, as ``glue(c, x, h)``:
+    the test map ``h : B * C -> X`` (``C``, ``X`` of dimensions ``c``,
+    ``x``) and its dagger glued into the literal composite
 
         (f * 1) ; dr ; (1 + h) ; mx^-1 ; (phi * phi) ; (rho * rho)
         ; (1 * (h^ ; lam_par^-1)) ; dl ; (lam_tensor + 1) ; (f^ + 1)
         ; lam_par
+
+    The ancilla identities, the laxor and ``f^`` are built here; the pieces
+    that depend on ``c`` alone (the prefix ``(f * 1) ; dr`` among them) or
+    on ``x`` alone are built on first use and kept as long as ``glue``.
     """
-    side = then_par(wc["prefix"], w["id_u"], h) >> mid
-    side = then_tensor(side, w["id_du"], dagger(h) >> wc["lam_par_inv"])
-    side = then_par(side >> wc["dl"], w["lam_tensor"], wc["id_dc"])
-    return then_par(side, w["f_dag"], wc["id_dc"]) >> wc["lam_par"]
+    m = _model_of(k)
+    u, a, b, f = k.ancilla, k.dom, k.cod, k.body
+    id_u, id_du = identity(m, u), identity(m, Dagger(u))
+    lam_tensor, f_dag = structural(m, "lam_tensor", [u, b]), dagger(f)
+
+    def s(name, *args):
+        return structural(m, name, list(args))
+
+    @cache
+    def by_c(c):
+        c = Base(c)
+        prefix = then_tensor(identity(m, Tensor(a, c)), f, identity(m, c))
+        return (prefix >> s("dr", u, b, c), s("lam_par_inv", b, c),
+                s("dl", Dagger(u), Dagger(b), Dagger(c)),
+                identity(m, Dagger(c)), s("lam_par", a, c))
+
+    @cache
+    def by_x(x):
+        x = Base(x)
+        return then_tensor(then_tensor(s("mx_inv", u, x), s("phi", u),
+                                       s("phi", x)), s("rho", u), s("rho", x))
+
+    def glue(c: int, x: int, h: Morphism) -> Morphism:
+        (prefix, lam_par_inv, dl, id_dc, lam_par), mid = by_c(c), by_x(x)
+        h = Morphism(k.model, Tensor(b, Base(c)), Base(x), h.payload)
+        side = then_par(prefix, id_u, h) >> mid
+        side = then_tensor(side, id_du, dagger(h) >> lam_par_inv)
+        side = then_par(side >> dl, lam_tensor, id_dc)
+        return then_par(side, f_dag, id_dc) >> lam_par
+
+    return glue
 
 
 def _positive_dims(name: str, dims) -> tuple:
@@ -294,8 +283,8 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
 
     Independent of the canonical-form decision: both sides of the defining
     equation are composed literally from structural maps, so a witness is a
-    concrete test map whose two glued composites differ.  Each side's
-    wiring is built at the granularity it depends on: once per call, once
+    concrete test map whose two glued composites differ.  Each side is one
+    ``_testmap_side`` closure, which builds its wiring once per call, once
     per drawn ``c`` (with the prefix ``(f * 1) ; dr``) and once per drawn
     ``x``; each trial glues only the test map and its dagger into it.
     Every product step goes through ``then_tensor``/``then_par``, so a
@@ -315,26 +304,15 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
         raise DomCodMismatch("representatives do not share dom/cod")
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 0)
-    b = k1.cod
-    # per side: the representative, its wiring, and its pieces by c and x;
-    # each side holds its prefix per c for the whole call, at most
+    # each side holds its prefix per drawn c for the whole call, at most
     # sum over c of u*b*c x a*c entries
-    sides = [(k, _testmap_wiring(k), {}, {}) for k in (k1, k2)]
+    side1, side2 = _testmap_side(k1), _testmap_side(k2)
     for trial in range(trials):
         # reads the stream as rng.choice(dims) would
         c = c_dims[int(rng.integers(len(c_dims)))]
         x = x_dims[int(rng.integers(len(x_dims)))]
-        c_expr, x_expr = Base(c), Base(x)
-        h = m.random_morphism(rng, Tensor(b, c_expr), x_expr)
-        glued = []
-        for k, w, by_c, by_x in sides:
-            if c not in by_c:
-                by_c[c] = _testmap_wiring_c(k, c_expr)
-            if x not in by_x:
-                by_x[x] = _testmap_mid(k, x_expr)
-            h_k = Morphism(k.model, Tensor(k.cod, c_expr), x_expr, h.payload)
-            glued.append(_testmap_side(w, by_c[c], by_x[x], h_k))
-        dev = m.deviation(*glued)
+        h = m.random_morphism(rng, Tensor(k1.cod, Base(c)), Base(x))
+        dev = m.deviation(side1(c, x, h), side2(c, x, h))
         # phrased so that NaN, which fails every comparison, separates
         if not dev <= tol:
             return {"consistent": False, "trials": trials,
@@ -377,12 +355,17 @@ def equivalent_variant(rng, k: KrausMorphism) -> KrausMorphism:
 
 def distinct_pair(model: Model, rng, dom: Optional[ObjectExpr] = None,
                   cod: Optional[ObjectExpr] = None):
-    """Two representatives of channels more than ``MIN_GAP`` apart."""
+    """Two representatives of channels more than ``MIN_GAP`` apart; raises
+    MucinfError when ``PAIR_DRAWS`` draws find no second one (as when every
+    channel of the type is equivalent)."""
     k1 = random_channel(model, rng, dom, cod)
-    while True:
+    for _ in range(PAIR_DRAWS):
         k2 = random_channel(model, rng, k1.dom, k1.cod)
         if channel_deviation(k1, k2) > MIN_GAP:
             return k1, k2
+    raise MucinfError(f"found no two channels {k1.dom!r} -> {k1.cod!r} in "
+                      f"{model.name} more than {MIN_GAP} apart in "
+                      f"{PAIR_DRAWS} draws")
 
 
 def random_density(rng, dim: int) -> np.ndarray:

@@ -124,12 +124,9 @@ def channel_to_json(k: KrausMorphism) -> dict:
 def channel_from_json(d: dict) -> KrausMorphism:
     d = _object(d, "channel")
     a, b, u = _dim(d, "dom"), _dim(d, "cod"), _dim(d, "ancilla")
-    body_mat = matrix_from_json(d["body"])
-    if body_mat.shape != (u * b, a):
-        raise ShapeMismatch(
-            f"body must be {(u * b, a)} for dom={a} cod={b} ancilla={u}, "
-            f"got {body_mat.shape}")
-    body = Morphism("mat", Base(a), Par(Base(u), Base(b)), body_mat)
+    # building the representative checks the body's shape against the dims
+    body = Morphism("mat", Base(a), Par(Base(u), Base(b)),
+                    matrix_from_json(d["body"]))
     return kraus_new(body, Base(u))
 
 

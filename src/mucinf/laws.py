@@ -623,6 +623,14 @@ def positive_count(name: str, value) -> int:
     return int(value)
 
 
+def positive_tolerance(tol: float) -> None:
+    """Refuse ``tol`` with a ValueError unless it is positive and finite:
+    under an infinite one even a crashed trial would pass, and under NaN
+    every deviation would fail."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
 def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
                tol: float, seed: Optional[int] = None,
                sample=None) -> LawCheckReport:
@@ -634,9 +642,11 @@ def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
     report is the one running every trial gives.  A trial that raises is a
     failed one, and the run goes on.  The witness is the info of the first
     trial that reached the worst deviation above ``tol``, with that trial's
-    index.  ``trials`` must be an int of at least 1 (``positive_count``).
+    index.  ``trials`` must be an int of at least 1 (``positive_count``)
+    and ``tol`` positive and finite (``positive_tolerance``).
     """
     trials = positive_count("trials", trials)
+    positive_tolerance(tol)
     if sample is not None:
         trial = _once_per_input(trial, sample)
     worst, witness = 0.0, None

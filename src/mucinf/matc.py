@@ -414,9 +414,10 @@ class MatModel(Model):
 
     # channels ----------------------------------------------------------------
     def check_payload(self, f: Morphism) -> None:
-        if f.payload.shape != (self.interpret(f.cod), self.interpret(f.dom)):
-            raise TypingError(
-                f"payload shape {f.payload.shape} does not match typing")
+        expected = (self.interpret(f.cod), self.interpret(f.dom))
+        if f.payload.shape != expected:
+            raise TypingError(f"payload shape {f.payload.shape} does not "
+                              f"match typing {expected}")
 
     def canonical(self, k) -> ChoiFactor:
         return choi_factor(k.body.payload, self.interpret(k.ancilla),

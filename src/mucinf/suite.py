@@ -25,7 +25,7 @@ from .fmat import (ALL, FIN, OMEGA, FiniteIndex, TagFamily,
                    explicit_family, family_subset, fmat_compose, fmat_dagger,
                    perp, power_family, sparse_deviation)
 from .laws import (ENTRIES, LawCheckReport, _prop, check_law, drawn_objects,
-                   fold_deviation, positive_count)
+                   fold_deviation, positive_count, positive_tolerance)
 from .matc import max_abs_diff, random_unitary
 from .morphisms import Morphism, dagger, get_model, identity
 from .objects import BOT, Base, Par, Tensor
@@ -42,8 +42,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         positive_count("trials", self.trials)
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        positive_tolerance(self.tol)
 
 
 # ---------------------------------------------------------------------------

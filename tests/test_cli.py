@@ -264,6 +264,19 @@ def test_channel_of_the_wrong_shape_exits_two(tmp_path, capsys):
     assert err.startswith("error: TypingError") and err.count("\n") == 1
 
 
+def test_an_ancilla_that_does_not_fit_the_body_exits_two(tmp_path, capsys):
+    # the body's shape is checked once, when the representative is built
+    k = cpinf.random_channel(MAT, RNG, Base(2), Base(3), Base(2))
+    d = jsonio.channel_to_json(k)
+    d["ancilla"] = 3
+    p = tmp_path / "k.json"
+    p.write_text(json.dumps(d))
+    code, out, err = run(capsys, "channel-choi", str(p))
+    assert (code, out) == (2, "")
+    assert err == ("error: TypingError: payload shape (6, 2) does not match "
+                   "typing (9, 2)\n")
+
+
 def test_fmat_space_of_the_wrong_shape_exits_two(tmp_path, capsys):
     p = tmp_path / "m.json"
     p.write_text(json.dumps({

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -74,7 +75,8 @@ class TestChannel:
         k = cpinf.random_channel(MAT, RNG, Base(2), Base(3), Base(2))
         d = jsonio.channel_to_json(k)
         d["ancilla"] = 3
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TypingError, match=re.escape(
+                "payload shape (6, 2) does not match typing (9, 2)")):
             jsonio.channel_from_json(d)
 
 

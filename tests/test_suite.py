@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import math
 import re
 
 import numpy as np
@@ -100,6 +101,28 @@ def test_a_trial_count_that_is_no_int_is_refused(trials):
         with pytest.raises(ValueError, match=re.escape(
                 f"trials must be an int, got {trials!r}")):
             call()
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0],
+                         ids=["inf", "nan", "zero", "negative"])
+def test_a_tolerance_not_positive_and_finite_is_refused(tol):
+    # under inf a report whose every trial crashed passed, with no witness;
+    # under NaN a law that read 0.0 failed, with no witness
+    def crash(rng):
+        raise ZeroDivisionError("crash")
+
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    calls = (lambda: SuiteConfig(tol=tol),
+             lambda: check_law("DMIX", "mat", rng=rng, tol=tol),
+             lambda: run_trials("X", "mat", crash, 3, rng, tol),
+             lambda: cpinf.initiality_probe("mat", samples=1, rng=rng,
+                                            tol=tol))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                f"tolerance must be positive and finite, got {tol}")):
+            call()
+    assert rng.bit_generator.state == state
 
 
 def test_a_numpy_trial_count_is_an_int():
