@@ -23,7 +23,7 @@ import numpy as np
 
 from . import cpinf, jsonio
 from .errors import MucinfError, TypingError
-from .laws import positive_tolerance
+from .morphisms import TOL, positive_tolerance, within
 from .suite import SuiteConfig, list_laws, run_suite
 
 
@@ -67,8 +67,7 @@ def _laws_run(args, seed, tol):
 
 def _channel_equiv(args, seed, tol):
     dev = cpinf.channel_deviation(_channel(args.first), _channel(args.second))
-    # phrased so that NaN, which fails every comparison, is inequivalent
-    verdict = bool(dev <= tol)
+    verdict = within(dev, tol)
     return {"equivalent": verdict, "deviation": dev}, verdict
 
 
@@ -122,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="random seed (default: MUC_CPINF_SEED or 0)")
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=float, default=TOL,
                         help="comparison tolerance")
     common.add_argument("--out", default=None, help="write output here "
                         "instead of stdout")

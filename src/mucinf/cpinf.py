@@ -36,11 +36,11 @@ import numpy as np
 from . import matc
 from .errors import (DomCodMismatch, MucinfError, NotPSD, TypingError,
                      UnsupportedInModel)
-from .laws import (LawCheckReport, fold_deviation, positive_count,
-                   run_trials)
+from .laws import LawCheckReport, positive_count, run_trials
 from .matc import ChoiMatrix
-from .morphisms import (Model, Morphism, dagger, get_model, identity, par,
-                        tensor, then_par, then_tensor)
+from .morphisms import (TOL, Model, Morphism, dagger, fold_deviation,
+                        get_model, identity, par, positive_tolerance, tensor,
+                        then_par, then_tensor, within)
 from .objects import Base, Dagger, Dual, ObjectExpr, Par, Tensor
 from .structural import structural
 
@@ -161,7 +161,7 @@ def pure_decomposition(k: KrausMorphism) -> List[np.ndarray]:
 
 
 def channel_action(k: KrausMorphism, density: np.ndarray,
-                   tol: float = 1e-9) -> np.ndarray:
+                   tol: float = TOL) -> np.ndarray:
     """Apply the channel to a density matrix."""
     m = _dense(k.model)
     return matc.apply_channel(k.body.payload, m.interpret(k.ancilla),
@@ -206,8 +206,9 @@ def channel_deviation(k1: KrausMorphism, k2: KrausMorphism) -> float:
 
 
 def equiv_decide(k1: KrausMorphism, k2: KrausMorphism,
-                 tol: float = 1e-9) -> bool:
+                 tol: float = TOL) -> bool:
     """Decide channel equivalence via the canonical form."""
+    positive_tolerance(tol)
     c1, c2 = _canonical_pair(k1, k2)
     return c1.equiv(c2, tol)
 
@@ -278,7 +279,7 @@ def _positive_dims(name: str, dims) -> tuple:
 def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
                          trials: int = 200, seed: Optional[int] = None,
                          rng=None, c_dims=(1, 2, 3), x_dims=(1, 2),
-                         tol: float = 1e-9) -> dict:
+                         tol: float = TOL) -> dict:
     """Sample test maps and look for one separating the two representatives.
 
     Independent of the canonical-form decision: both sides of the defining
@@ -289,10 +290,11 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
     ``x``; each trial glues only the test map and its dagger into it.
     Every product step goes through ``then_tensor``/``then_par``, so a
     model may apply it without forming the product.  No trial would vouch
-    for any pair, so ``trials`` must be an int of at least 1, and ``c_dims``
-    and ``x_dims`` (what ``c`` and ``x`` are drawn from) non-empty sequences
-    of positive ints; the two must share a model, as for ``equiv_decide``.
+    for any pair, so ``trials`` must be an int of at least 1, ``c_dims`` and
+    ``x_dims`` (what ``c`` and ``x`` are drawn from) non-empty sequences of
+    positive ints and ``tol`` positive and finite; both share one model.
     """
+    positive_tolerance(tol)
     trials = positive_count("trials", trials)
     c_dims = _positive_dims("c_dims", c_dims)
     x_dims = _positive_dims("x_dims", x_dims)
@@ -313,8 +315,7 @@ def equiv_testmap_oracle(k1: KrausMorphism, k2: KrausMorphism,
         x = x_dims[int(rng.integers(len(x_dims)))]
         h = m.random_morphism(rng, Tensor(k1.cod, Base(c)), Base(x))
         dev = m.deviation(side1(c, x, h), side2(c, x, h))
-        # phrased so that NaN, which fails every comparison, separates
-        if not dev <= tol:
+        if not within(dev, tol):
             return {"consistent": False, "trials": trials,
                     "witness": {"trial": trial, "c_dim": c, "x_dim": x,
                                 "deviation": dev}}

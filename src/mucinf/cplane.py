@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional
 
 from .errors import (DomCodMismatch, ShapeMismatch, TypingError,
                      UnsupportedInModel)
-from .laws import fold_deviation
-from .morphisms import Model, Morphism, get_model, register_model
+from .morphisms import (TOL, Model, Morphism, fold_deviation, get_model,
+                        register_model)
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
 
@@ -45,7 +45,7 @@ class CplaneChannel(NamedTuple):
     cod: complex
     ratio: Optional[float]
 
-    def equiv(self, other: "CplaneChannel", tol: float = 0.0) -> bool:
+    def equiv(self, other: "CplaneChannel", tol: float = TOL) -> bool:
         """Closed-form decision; exact, so ``tol`` is ignored."""
         if not (_close(self.dom, other.dom) and _close(self.cod, other.cod)):
             raise DomCodMismatch("representatives do not share dom/cod")

@@ -6,7 +6,7 @@ structural morphisms and the generic morphism algebra, registered by
 ``_law`` from a builder.  A ``"property"`` row is a check of the channel
 construction or of finiteness spaces, registered by ``_prop`` (the property
 bodies live in ``suite``).  ``check_law`` runs any row in one model, trial
-by trial, through ``run_trials``, the one code that folds deviations.
+by trial, through ``run_trials``, the one fold and verdict (``within``).
 
 Equation strings use diagram order (left factor first).  ``F`` is the
 functor from the unitary subcategory, ``m⊗/n⊕/m⊤/n⊥`` its strengths and
@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import (ArityError, MucinfError, UnknownLaw,
                      UnsupportedInModel)
-from .morphisms import (Model, Morphism, dagger, deviation, get_model,
-                        identity, par, tensor)
+from .morphisms import (TOL, Model, Morphism, dagger, deviation,
+                        fold_deviation, get_model, identity, par,
+                        positive_tolerance, tensor, within)
 from .objects import BOT, TOP, Dagger, Dual, ObjectExpr, Par, Tensor
 from .structural import structural
 
@@ -39,7 +40,7 @@ class LawCheckReport:
     passed: bool
     witness: Optional[dict] = None
     seed: Optional[int] = None
-    tol: float = 1e-9
+    tol: float = TOL
 
     def to_json(self) -> dict:
         return {
@@ -582,12 +583,6 @@ def _(ctx):
 # running a law
 
 
-def fold_deviation(worst: float, dev: float) -> float:
-    """The larger deviation, counting NaN as inf: ``max`` and ``>`` would
-    drop a NaN, and a law whose sides hold NaN would pass."""
-    return math.inf if math.isnan(dev) else max(worst, dev)
-
-
 def _once_per_input(trial, sample):
     """``trial(rng, inputs)`` after ``sample(rng) -> inputs``, run once for
     each distinct inputs: a repeat gets the first run's (deviation, info).
@@ -623,14 +618,6 @@ def positive_count(name: str, value) -> int:
     return int(value)
 
 
-def positive_tolerance(tol: float) -> None:
-    """Refuse ``tol`` with a ValueError unless it is positive and finite:
-    under an infinite one even a crashed trial would pass, and under NaN
-    every deviation would fail."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-
-
 def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
                tol: float, seed: Optional[int] = None,
                sample=None) -> LawCheckReport:
@@ -658,15 +645,15 @@ def run_trials(law_id: str, model_name: str, trial, trials: int, rng,
         folded = fold_deviation(worst, dev)
         if folded > worst:
             worst = folded
-            if worst > tol:
+            if not within(worst, tol):
                 witness = {**(info or {}), "trial": index}
     return LawCheckReport(law=law_id, model=model_name, trials=trials,
-                          max_abs_deviation=worst, passed=worst <= tol,
+                          max_abs_deviation=worst, passed=within(worst, tol),
                           witness=witness, seed=seed, tol=tol)
 
 
 def check_law(entry_id: str, model: Model | str, objects=None, rng=None,
-              tol: float = 1e-9, seed: Optional[int] = None,
+              tol: float = TOL, seed: Optional[int] = None,
               trials: int = 1) -> LawCheckReport:
     """Run ``trials`` trials of one entry in one model through
     ``run_trials``.

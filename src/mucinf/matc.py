@@ -54,7 +54,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import (DimensionOverflow, DomCodMismatch, NotHermitian,
                      ShapeMismatch, TypingError)
-from .morphisms import Model, Morphism, register_model
+from .morphisms import TOL, Model, Morphism, register_model, within
 from .objects import (Base, Dagger, Dual, ObjectExpr, Par, ParUnit, Tensor,
                       TensorUnit)
 
@@ -173,16 +173,15 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(diff, out=diff).real, initial=0.0))
 
 
-def check_hermitian(h: np.ndarray, tol: float = 1e-9) -> None:
+def check_hermitian(h: np.ndarray, tol: float = TOL) -> None:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {h.shape}")
-    # phrased so that NaN, which fails every comparison, is rejected
-    if not max_abs_diff(h, h.conj().T) <= tol:
+    if not within(max_abs_diff(h, h.conj().T), tol):
         raise NotHermitian(f"matrix is not Hermitian within {tol}")
 
 
 def apply_channel(body: np.ndarray, ancilla_dim: int,
-                  density: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+                  density: np.ndarray, tol: float = TOL) -> np.ndarray:
     """Act with the channel represented by a Kraus body on a density matrix.
 
     ``body`` is the ``(u*b) x a`` matrix of a Kraus map ``A -> U * B`` with
@@ -316,8 +315,8 @@ class ChoiFactor:
             raise _overflow(self.factor, other.factor)
         return math.inf
 
-    def equiv(self, other: "ChoiFactor", tol: float = 1e-9) -> bool:
-        return self.deviation(other) <= tol
+    def equiv(self, other: "ChoiFactor", tol: float = TOL) -> bool:
+        return within(self.deviation(other), tol)
 
 
 def choi_factor(body: np.ndarray, ancilla_dim: int,

@@ -7,11 +7,13 @@ then g".  For the dense model this is realised as ``payload(g) @ payload(f)``
 (column convention: a map A -> B is stored as a cod x dom matrix).
 
 Models register themselves here so that the algebra, the law catalog and the
-suite can dispatch on the model id alone.
+suite can dispatch on the model id alone.  Every verdict is ``within``:
+``dev <= tol`` with NaN failing, and ``tol`` positive and finite (``TOL``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Optional
 
 from .errors import (ModelMismatch, ShapeMismatch, UnknownModel,
@@ -256,3 +258,24 @@ def deviation(f: Morphism, g: Morphism) -> float:
         raise ShapeMismatch("morphisms are not parallel under interpretation")
     return m.deviation(f, g)
 
+
+TOL = 1e-9
+
+
+def positive_tolerance(tol: float) -> None:
+    """Refuse ``tol`` (ValueError) unless positive and finite: under inf a
+    crashed trial would pass, and under NaN every deviation would fail."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
+def within(dev: float, tol: float) -> bool:
+    """``dev <= tol``, so NaN fails, once ``positive_tolerance`` passes."""
+    positive_tolerance(tol)
+    return dev <= tol
+
+
+def fold_deviation(worst: float, dev: float) -> float:
+    """The larger deviation, counting NaN as inf: ``max`` and ``>`` would
+    drop a NaN, and a law whose sides hold NaN would pass."""
+    return math.inf if math.isnan(dev) else max(worst, dev)

@@ -25,9 +25,10 @@ from .fmat import (ALL, FIN, OMEGA, FiniteIndex, TagFamily,
                    explicit_family, family_subset, fmat_compose, fmat_dagger,
                    perp, power_family, sparse_deviation)
 from .laws import (ENTRIES, LawCheckReport, _prop, check_law, drawn_objects,
-                   fold_deviation, positive_count, positive_tolerance)
+                   positive_count)
 from .matc import max_abs_diff, random_unitary
-from .morphisms import Morphism, dagger, get_model, identity
+from .morphisms import (TOL, Morphism, dagger, fold_deviation, get_model,
+                        identity, positive_tolerance, within)
 from .objects import BOT, Base, Par, Tensor
 from .structural import structural
 
@@ -38,7 +39,7 @@ class SuiteConfig:
     law_filter: str = "*"
     trials: int = 100
     seed: int = 0
-    tol: float = 1e-9
+    tol: float = TOL
 
     def __post_init__(self):
         positive_count("trials", self.trials)
@@ -301,7 +302,7 @@ def _(model, rng, tol):
     # a non-finite side fails whatever was expected, as in every axiom
     if not math.isfinite(sides):
         return math.inf, {"expected": expected}
-    return 0.0 if (sides <= tol) == expected else 1.0, {"expected": expected}
+    return float(within(sides, tol) != expected), {"expected": expected}
 
 
 @_prop("Env.3", "every channel purifies through the discard")

@@ -3,9 +3,11 @@
 Each mutant is a subclass of a real model that overrides one method; the
 models themselves have no fault switches.  ``MUTANTS`` holds one instance
 of each coherence mutant under the name the suite reports it by; register
-one with ``registered`` before running the suite on it.  The discard
-mutants at the bottom break only the environment structure; they stay out
-of ``MUTANTS``, whose reports are pinned.
+one with ``registered`` before running the suite on it.  The two nudged
+mutants and the discard mutants below stay out of ``MUTANTS``, whose
+reports are pinned: the nudges sit below the default tolerance, so no
+report fails, and the discard mutants break only the environment
+structure.
 
     from mutants import MUTANTS, registered
 """
@@ -128,6 +130,23 @@ MUTANTS = (SwapLaxor("mat!swap-laxor"), SkewLaxor("mat!skew-laxor"),
            TransposeDagger("mat!transpose-dagger"),
            ScaledMix("mat!scaled-mix"), TransposeComm("mat!transpose-comm"),
            NoClosure("fmat!no-closure"))
+
+
+class NudgedLaxor(MatModel):
+    """The tensor laxor is off by a relative 2e-10, below the default
+    tolerance: coherence laws see it, and every verdict still passes."""
+
+    def structural_payload(self, name, args, dom, cod):
+        p = super().structural_payload(name, args, dom, cod)
+        return _freeze((1 + 2e-10) * p) if name == "lam_tensor" else p
+
+
+class NudgedMix(MatModel):
+    """The mix map and its inverse are off by a relative 1e-11, likewise."""
+
+    def structural_payload(self, name, args, dom, cod):
+        p = super().structural_payload(name, args, dom, cod)
+        return _freeze((1 + 1e-11) * p) if name in ("m", "m_inv") else p
 
 
 class HalvedDiscard(MatModel):

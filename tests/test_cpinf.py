@@ -28,7 +28,7 @@ from mucinf.errors import (DomCodMismatch, ModelMismatch, MucinfError, NotPSD,
                            TypingError, UnsupportedInModel)
 from mucinf.fmat import to_dense
 from mucinf.laws import check_law
-from mucinf.matc import mat_identity, random_unitary
+from mucinf.matc import ChoiMatrix, mat_identity, random_unitary
 from mucinf.morphisms import (Model, Morphism, dagger, get_model, identity,
                               par, register_model, tensor, unregister_model)
 from mucinf.objects import BOT, Base, Dagger, Par, Tensor
@@ -1124,3 +1124,27 @@ class TestCanonicalForms:
                 and any(isinstance(side, ast.Attribute) and side.attr == "base"
                         for side in [node.left, *node.comparators])]
             assert (named, compared) == ([], []), module.__name__
+
+
+def test_composition_refuses_two_models_and_unmatched_ends():
+    k = kraus_identity("mat", Base(2))
+    with pytest.raises(TypingError, match="models differ"):
+        kraus_compose(k, kraus_identity("cplane", Base(2)))
+    with pytest.raises(TypingError, match="!= dom"):
+        kraus_compose(k, kraus_identity("mat", Base(3)))
+
+
+def test_the_oracle_refuses_ends_that_interpret_differently():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomCodMismatch, match="do not share dom/cod"):
+        equiv_testmap_oracle(kraus_identity("mat", Base(2)),
+                             kraus_identity("mat", Base(3)), rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def test_the_zero_choi_matrix_purifies_to_one_zero_block():
+    k = purify(ChoiMatrix(np.zeros((6, 6), dtype=complex), 2, 3))
+    assert k.ancilla == Base(1) and k.body.payload.shape == (3, 2)
+    assert not k.body.payload.any()
+    assert equiv_decide(k, k)

@@ -20,8 +20,9 @@ from mucinf.fmat import (ALL, FIN, FMAT, MAX_EXPLICIT, ExplicitFamily,
                          fmat_dagger, from_dense, include_mat, perp,
                          power_family, sparse_identity, to_dense)
 from mucinf.matc import ENTRY_LIMIT, MAT
-from mucinf.morphisms import Morphism
-from mucinf.objects import Base, Dagger, Par, Tensor
+from mucinf.cpinf import KrausMorphism
+from mucinf.morphisms import Morphism, identity
+from mucinf.objects import Base, Dagger, Dual, Par, Tensor
 from mucinf.structural import STRUCTURAL_NAMES, signature, structural
 from mutants import unclosed_family, unclosed_space
 
@@ -438,3 +439,29 @@ def test_dense_matrices_come_from_matc():
              if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert local == []
+
+
+def test_products_with_a_symbolic_factor():
+    # a finite factor is absorbed on either side; two tags must agree
+    pair = finite_space((0, 1))
+    assert FMAT.interpret(Tensor(Base(pair), Base(OMEGA_FIN))) == OMEGA_FIN
+    assert FMAT.interpret(Par(Base(OMEGA_ALL), Base(pair))) == OMEGA_ALL
+    assert FMAT.interpret(Tensor(Base(OMEGA_FIN), Base(OMEGA_FIN))) \
+        == OMEGA_FIN
+    with pytest.raises(UnsupportedInModel, match="two-tag lattice"):
+        FMAT.interpret(Tensor(Base(OMEGA_FIN), Base(OMEGA_ALL)))
+
+
+def test_a_channel_body_must_sit_on_its_typing():
+    space = finite_space((0,))
+    body = Morphism("fmat", Base(space), Par(Base(space), Base(space)),
+                    sparse_identity(finite_space((0, 1))))
+    with pytest.raises(TypingError, match="do not match typing"):
+        KrausMorphism(body)
+
+
+def test_inclusion_of_duals_and_of_foreign_morphisms():
+    assert FMAT.include_expr(Dual(Base(2))) \
+        == Dual(Base(finite_space((0, 1))))
+    with pytest.raises(TypingError, match="dense model"):
+        FMAT.include(identity(FMAT, Base(finite_space((0,)))))

@@ -179,6 +179,12 @@ class TestFmat:
             else:
                 assert jsonio.fmat_check_report(d)["src_space_valid"]
 
+    def test_an_unknown_family_tag_is_refused(self):
+        d = jsonio.fmat_to_json(include_mat(np.eye(1)))
+        d["tgt"] = {"X": "omega", "A": "finite", "B": "all"}
+        with pytest.raises(TypingError, match="unknown family tag 'finite'"):
+            jsonio.fmat_from_json(d)
+
     def test_check_report_valid(self):
         m = include_mat(np.eye(2))
         report = jsonio.fmat_check_report(jsonio.fmat_to_json(m))

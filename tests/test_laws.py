@@ -15,7 +15,7 @@ from mucinf.matc import MatModel, _freeze
 from mucinf.morphisms import get_model
 from mucinf.objects import Base
 from mucinf.suite import SuiteConfig, run_suite
-from mutants import MUTANTS, CrashingCup, registered
+from mutants import MUTANTS, CrashingCup, NudgedLaxor, NudgedMix, registered
 
 
 def test_catalog_size_and_membership():
@@ -240,3 +240,25 @@ def test_each_sampled_entry_reports_as_if_every_trial_ran(model):
             got = check_law(entry.entry_id, m, rng=np.random.default_rng(3),
                             seed=3, trials=30)
             assert got == want, entry.entry_id
+
+
+@pytest.mark.parametrize("mutant,nudge,seen", [
+    (NudgedLaxor("mat!nudged-laxor"), 2e-10,
+     {"DLDC2a", "DLDC2c", "DLDC4a", "DLDC4b", "MXDAG", "RHO-TP-a", "U5a",
+      "UDUALb"}),
+    (NudgedMix("mat!nudged-mix"), 1e-11, {"MXDEF", "U4a", "U4b"}),
+], ids=["laxor", "mix"])
+def test_a_nudge_below_the_tolerance_passes_every_report(mutant, nudge, seen):
+    # pins a blind spot: these coherence laws read the fault itself, yet
+    # the default tolerance's slack passes them; in mat every coherence law
+    # reads exactly 0.0, so verdicts exact where the arithmetic is exact
+    # fail these rows, and this test with them
+    with registered(mutant):
+        reports = run_suite(SuiteConfig(models=(mutant.name,), trials=25,
+                                        seed=0))
+    assert (len(reports), sum(r.passed for r in reports)) == (61, 61)
+    coherence = {r.law: r.max_abs_deviation for r in reports
+                 if laws.ENTRIES[r.law].kind == "coherence"}
+    assert {law for law, dev in coherence.items() if dev} == seen
+    for law in seen:
+        assert coherence[law] == pytest.approx(nudge, rel=1e-6), law

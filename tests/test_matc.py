@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucinf.cpinf import equiv_decide, kraus_new, random_channel
-from mucinf.errors import DimensionOverflow, NotHermitian, ShapeMismatch
-from mucinf.matc import (DIM_LIMIT, ENTRY_LIMIT, MAT, _freeze,
+from mucinf.errors import (DimensionOverflow, NotHermitian, ShapeMismatch,
+                           TypingError)
+from mucinf.matc import (DIM_LIMIT, ENTRY_LIMIT, MAT, ChoiMatrix, _freeze,
                          apply_channel, bell_counit, bell_unit,
                          check_hermitian, choi, choi_factor,
                          commutation_perm,
@@ -501,3 +502,12 @@ def test_a_bool_is_no_dimension():
 def test_random_unitary_is_unitary():
     u = random_unitary(RNG, 4)
     assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-12
+
+
+def test_shapes_the_channel_helpers_refuse():
+    with pytest.raises(ShapeMismatch, match="square"):
+        check_hermitian(np.ones((2, 3)))
+    with pytest.raises(ShapeMismatch, match="not divisible"):
+        apply_channel(np.ones((3, 2)), 2, np.eye(2) / 2)
+    with pytest.raises(TypingError, match="dim_in \\* dim_out"):
+        ChoiMatrix(np.eye(4), 2, 3)

@@ -9,8 +9,8 @@ from mucinf.errors import ModelMismatch, ShapeMismatch
 from mucinf.laws import ENTRIES, check_law, run_trials
 from mucinf.matc import MatModel
 from mucinf.morphisms import (Morphism, compose, dagger, deviation,
-                              get_model, identity, par, tensor, then_par,
-                              then_tensor)
+                              get_model, identity, par, register_model,
+                              tensor, then_par, then_tensor)
 from mucinf.objects import Base, Dagger, Par, Tensor
 from mucinf.structural import structural
 from mutants import registered
@@ -200,3 +200,11 @@ def test_tensor_is_bifunctorial(a, b, c, d, seed):
     lhs = compose(tensor(f, x), tensor(g, y))
     rhs = tensor(compose(f, g), compose(x, y))
     assert deviation(lhs, rhs) <= 1e-9
+
+
+def test_a_name_registers_once_and_models_do_not_mix():
+    with pytest.raises(ValueError, match="'mat' already registered"):
+        register_model(MatModel("mat"))
+    assert type(get_model("mat")) is MatModel
+    with pytest.raises(ModelMismatch, match="mat vs cplane"):
+        deviation(identity("mat", Base(1)), identity("cplane", Base(1)))

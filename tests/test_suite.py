@@ -12,7 +12,7 @@ from mucinf.cplane import CplaneModel
 from mucinf.errors import ArityError, UnknownLaw, UnknownModel
 from mucinf.fmat import FmatModel, explicit_family, finite_space
 from mucinf.laws import check_law, run_trials
-from mucinf.matc import MatModel
+from mucinf.matc import MatModel, check_hermitian
 from mucinf.morphisms import compose, get_model, identity, registered_models
 from mucinf.objects import Base
 from mucinf.suite import SuiteConfig, list_laws, run_suite
@@ -111,13 +111,23 @@ def test_a_tolerance_not_positive_and_finite_is_refused(tol):
     def crash(rng):
         raise ZeroDivisionError("crash")
 
+    # and the channel verdicts: under inf a distinct pair was equivalent
+    # and a non-Hermitian density accepted, under NaN a channel was not
+    # equivalent to itself
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
+    k = cpinf.kraus_identity("mat", Base(2))
+    form = get_model("mat").canonical(k)
     calls = (lambda: SuiteConfig(tol=tol),
              lambda: check_law("DMIX", "mat", rng=rng, tol=tol),
              lambda: run_trials("X", "mat", crash, 3, rng, tol),
              lambda: cpinf.initiality_probe("mat", samples=1, rng=rng,
-                                            tol=tol))
+                                            tol=tol),
+             lambda: cpinf.equiv_decide(k, k, tol),
+             lambda: cpinf.equiv_testmap_oracle(k, k, rng=rng, tol=tol),
+             lambda: cpinf.channel_action(k, np.eye(2) / 2, tol),
+             lambda: check_hermitian(np.eye(2), tol),
+             lambda: form.equiv(form, tol))
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(
                 f"tolerance must be positive and finite, got {tol}")):
