@@ -36,6 +36,11 @@ def _close(z: complex, w: complex, rel: float = REL_TOL) -> bool:
     return cmath.isclose(z, w, rel_tol=rel, abs_tol=rel)
 
 
+def _unitary(z: complex) -> bool:
+    """A unitary object: real, and not 0 as ``same_object`` reads it."""
+    return abs(z.imag) <= REL_TOL * max(1.0, abs(z)) and not _close(z, 0.0)
+
+
 class CplaneChannel(NamedTuple):
     """Canonical form of a channel: into a nonzero codomain there is at most
     one Kraus map, so the ancilla ratio pins the channel; into 0 all
@@ -113,7 +118,7 @@ class CplaneModel(Model):
     def structural_payload(self, name, args, dom, cod):
         if name in ("phi", "phi_inv"):
             z = self.interpret(args[0])
-            if abs(z.imag) > REL_TOL * max(1.0, abs(z)) or _close(z, 0.0):
+            if not _unitary(z):
                 raise UnsupportedInModel(
                     f"phi needs a nonzero real object, got {z}")
         din, dout = self.interpret(dom), self.interpret(cod)
@@ -136,12 +141,11 @@ class CplaneModel(Model):
         return abs(z - (z if first == second else self.interpret(second)))
 
     def check_payload(self, f: Morphism) -> None:
-        """The Kraus condition on a body ``c -> Par(r, c')``: r is a nonzero
-        real and ``c = r * c'``."""
+        """The Kraus condition on a body ``c -> Par(r, c')``: r is unitary
+        (``_unitary``) and ``c = r * c'``."""
         r = self.interpret(f.cod.left)
-        if (abs(r.imag) > REL_TOL * max(1.0, abs(r)) or r.real == 0
-                or not _close(self.interpret(f.dom),
-                              complex(r.real) * self.interpret(f.cod.right))):
+        if not (_unitary(r) and _close(self.interpret(f.dom), complex(r.real)
+                                       * self.interpret(f.cod.right))):
             raise TypingError(
                 f"{f.dom!r} -> {f.cod!r} is not a Kraus map (need dom = "
                 f"ancilla * cod, with the ancilla a nonzero real)")

@@ -1,12 +1,15 @@
 """The one table of everything the suite checks, and the runner over it.
 
 ``ENTRIES`` holds one row per check, keyed by id.  A ``"coherence"`` row is
-a MUC law: an equation between two composites built solely out of named
-structural morphisms and the generic morphism algebra, registered by
-``_law`` from a builder.  A ``"property"`` row is a check of the channel
-construction or of finiteness spaces, registered by ``_prop`` (the property
-bodies live in ``suite``).  ``check_law`` runs any row in one model, trial
-by trial, through ``run_trials``, the one fold and verdict (``within``).
+a MUC law: an equation between composites of named structural morphisms
+and the generic morphism algebra.  A law is its anchor, the equation text,
+which ``_equation`` reads and ``_law`` registers; only the anchors that
+name arrows ``f``/``g`` or the functor ``F``, which the grammar refuses,
+keep a hand-written builder.  A ``"property"`` row is a check of the
+channel construction or of finiteness spaces, registered by ``_prop`` (the
+property bodies live in ``suite``).  ``check_law`` runs any row in one
+model, trial by trial, through ``run_trials``, the one fold and verdict
+(``within``).
 
 Equation strings use diagram order (left factor first).  ``F`` is the
 functor from the unitary subcategory, ``m⊗/n⊕/m⊤/n⊥`` its strengths and
@@ -15,20 +18,23 @@ functor from the unitary subcategory, ``m⊗/n⊕/m⊤/n⊥`` its strengths and
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-from dataclasses import dataclass
+import operator
+import re
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import (ArityError, MucinfError, UnknownLaw,
                      UnsupportedInModel)
-from .morphisms import (TOL, Model, Morphism, dagger, deviation,
+from .morphisms import (TOL, Model, Morphism, compose, dagger, deviation,
                         fold_deviation, get_model, identity, par,
                         positive_tolerance, tensor, within)
-from .objects import BOT, TOP, Dagger, Dual, ObjectExpr, Par, Tensor
-from .structural import structural
+from .objects import BOT, TOP, Base, Dagger, Dual, ObjectExpr, Par, Tensor
+from .structural import _SIGS, signature, structural
 
 
 @dataclass
@@ -63,12 +69,8 @@ class LawContext:
         self.objects = objects
         self.rng = rng
 
-    # shorthands used by every builder
     def S(self, name: str, *args: ObjectExpr) -> Morphism:
         return structural(self.model, name, list(args))
-
-    def I(self, expr: ObjectExpr) -> Morphism:
-        return identity(self.model, expr)
 
     def arrow(self, unitary: bool = False):
         """A random component f: A -> B (identity in discrete models)."""
@@ -136,9 +138,14 @@ def _donor_bases(count: int) -> Sampler:
         for _ in range(count))
 
 
-def _law(law_id, anchor, arity, models=("mat", "cplane"),
+def _law(law_id, anchor, arity=None, models=("mat", "cplane"),
          needs_unitary=False, note=None, sample=None):
-    def deco(build: Builder):
+    """Register a coherence law: ``_law(law_id, anchor)`` one that is its
+    anchor, read by ``_equation``; ``@_law(law_id, anchor, arity)`` the
+    builder of one whose anchor the grammar refuses, as it names arrows
+    ``f``/``g`` or the functor ``F``.  Raises MucinfError for an unreadable
+    anchor alone and for a readable one with a builder."""
+    def register(build: Builder):
         def trial(m: Model, rng, tol: float, objects):
             dev = 0.0
             for lhs, rhs in build(LawContext(m, list(objects), rng)):
@@ -158,7 +165,16 @@ def _law(law_id, anchor, arity, models=("mat", "cplane"),
             law_id, anchor, tuple(models), "coherence", trial, arity, note,
             sample or drawn_objects(arity, needs_unitary))
         return build
-    return deco
+    try:
+        arity_read, build = _equation(anchor)
+    except MucinfError:
+        if arity is None:
+            raise
+        return register
+    if arity is not None:
+        raise MucinfError(f"{law_id} is its anchor {anchor!r}: no builder")
+    arity = arity_read
+    register(build)
 
 
 def _prop(entry_id: str, anchor: str, models=("mat",), sample=None):
@@ -174,265 +190,241 @@ def catalog() -> Dict[str, Entry]:
 
 
 # ---------------------------------------------------------------------------
+# a law is its equation text
+
+_SYMBOLS = {
+    "a⊗": "a_tensor", "a⊕": "a_par", "λ⊗": "lam_tensor", "λ⊕": "lam_par",
+    "λ⊤": "lam_top", "λ⊥": "lam_bot", "u⊗L": "u_tensor_l",
+    "u⊗R": "u_tensor_r", "u⊕L": "u_par_l", "u⊕R": "u_par_r", "δL": "dl",
+    "δR": "dr", "c⊗": "c_tensor", "c⊕": "c_par", "mx": "mx",
+    "m⊗": "m_tensor", "n⊕": "n_par", "m": "m", "ι": "iota", "φ": "phi",
+    "η": "eta", "ε": "eps", "ρ": "rho"}
+# a symbol, with a subscript _A, _B, _⊤, _⊥ or _{...} (a bare ⊤/⊥ after φ),
+# or one of the other tokens
+_TOKEN = re.compile(
+    "(?P<sym>%s)(?:_(?P<sub>[AB⊤⊥]|\\{[^{}]*\\})|(?<=φ)(?P<bare>[⊤⊥]))?"
+    "|M\\(|⁻¹|[1()⊗⊕†=]"
+    % "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))))
+
+
+def _equation(text: str):
+    """``(arity, build)`` of the law ``text`` states; ``build(ctx)`` gives
+    the pairs (first side, each other side).  Raises MucinfError unless the
+    tokens cover ``text`` and it parses and types.
+
+    Juxtaposition is diagram-order composition, ``(x ⊗ y)``/``(x ⊕ y)``
+    the products, ``M(x)`` the strict inclusion (``x`` itself), ``†`` the
+    dagger and ``⁻¹`` on a structural symbol its ``_inv``.  Each object a
+    map takes without a subscript is a fresh variable, typed by
+    ``structural.signature`` and solved by unifying along each composite
+    and across ``=``.  The free variables take the drawn objects in order:
+    the named A, B, then by first appearance in the first side's domain,
+    then its codomain.  Each side compiles once into closures that make
+    the ``structural``/``identity``/``compose``/``tensor``/``par``/
+    ``dagger`` calls a hand-written builder would.
+    """
+    tokens = list(_TOKEN.finditer(text))
+    if "".join(t.group() for t in tokens) != "".join(text.split()):
+        raise MucinfError(f"cannot read {text!r}")
+    subst, named, fresh, at = {}, {}, itertools.count(), 0
+
+    def refuse(why):
+        raise MucinfError(f"{why} in {text!r}")
+
+    def peek():
+        return tokens[at].group() if at < len(tokens) else None
+
+    def take(expected=None):
+        nonlocal at
+        if at == len(tokens) or expected not in (None, peek()):
+            refuse(f"expected {expected or 'more'} at token {at}")
+        at += 1
+        return tokens[at - 1]
+
+    def var():
+        return Base(("?", next(fresh)))
+
+    def walk(x):
+        while type(x) is Base and x in subst:
+            x = subst[x]
+        return x
+
+    def variables(x):
+        x = walk(x)
+        if type(x) is Base:
+            return [x]
+        return [v for f in fields(x) for v in variables(getattr(x, f.name))]
+
+    def unify(x, y):
+        x, y = walk(x), walk(y)
+        if type(y) is Base:
+            x, y = y, x
+        if x == y:
+            return
+        if type(x) is Base and x not in variables(y):
+            subst[x] = y
+        elif type(x) is type(y):
+            for f in fields(x):
+                unify(getattr(x, f.name), getattr(y, f.name))
+        else:
+            refuse(f"{x!r} is not {y!r}")
+
+    def subscript(sub):
+        for sep, product in (("⊕", Par), ("⊗", Tensor)):
+            left, found, right = sub.partition(sep)
+            if found:
+                return product(subscript(left), subscript(right))
+        if sub.endswith("†"):
+            return Dagger(subscript(sub[:-1]))
+        if sub in ("⊤", "⊥"):
+            return TOP if sub == "⊤" else BOT
+        if sub not in ("A", "B"):
+            refuse(f"no object {sub!r}")
+        return named.setdefault(sub, var())
+
+    # each step below is (plan, dom, cod); a plan is a structural map
+    # ("S", name, args), an identity ("1", obj) or (op, *plans)
+    def atom():
+        token = take()
+        if token["sym"]:
+            name, sub = _SYMBOLS[token["sym"]], token["sub"] or token["bare"]
+            args = ([subscript(sub.strip("{}"))] if sub else
+                    [var() for _ in range(_SIGS[name][0])])
+            return ("S", name, args), *signature(name, args)
+        if token.group() == "1":
+            x = var()
+            return ("1", x), x, x
+        if token.group() not in ("(", "M("):
+            refuse(f"unexpected {token.group()!r}")
+        step = chain()
+        if token.group() == "(" and peek() in ("⊗", "⊕"):
+            op, product = (("tensor", Tensor) if take().group() == "⊗"
+                           else ("par", Par))
+            (f, fd, fc), (g, gd, gc) = step, chain()
+            step = (op, f, g), product(fd, gd), product(fc, gc)
+        take(")")
+        return step
+
+    def postfix():
+        plan, dom, cod = atom()
+        while peek() in ("†", "⁻¹"):
+            if take().group() == "†":
+                plan, dom, cod = ("dagger", plan), Dagger(cod), Dagger(dom)
+            elif plan[0] == "S" and f"{plan[1]}_inv" in _SIGS:
+                plan, dom, cod = ("S", f"{plan[1]}_inv", plan[2]), cod, dom
+            else:
+                refuse("⁻¹ after no invertible structural map")
+        return plan, dom, cod
+
+    def chain():
+        plan, dom, cod = postfix()
+        while peek() not in (None, "=", ")", "⊗", "⊕"):
+            after, mid, cod2 = postfix()
+            unify(cod, mid)
+            plan, cod = ("compose", plan, after), cod2
+        return plan, dom, cod
+
+    sides = [chain()]
+    while peek() == "=":
+        take()
+        sides.append(chain())
+    if at < len(tokens) or len(sides) < 2:
+        refuse("no equation")
+    _, dom, cod = sides[0]
+    for _, other_dom, other_cod in sides[1:]:
+        unify(dom, other_dom)
+        unify(cod, other_cod)
+    # the free variables, each with the index of the object it takes
+    free = {v: i for i, v in enumerate(dict.fromkeys(
+        v for x in (*named.values(), dom, cod) for v in variables(x)))}
+
+    def instance(x):
+        """``objects -> x``, each free variable the object drawn for it."""
+        x = walk(x)
+        kind = type(x)
+        if kind is Base:
+            if x not in free:
+                refuse("a variable that no end of the first side binds")
+            return operator.itemgetter(free[x])
+        if kind in (Tensor, Par):
+            left, right = instance(x.left), instance(x.right)
+            return lambda objects: kind(left(objects), right(objects))
+        if kind in (Dagger, Dual):
+            inner = instance(x.inner)
+            return lambda objects: kind(inner(objects))
+        return lambda objects: x
+
+    # the closures call the morphism algebra through this module's names,
+    # looked up at each call, as a hand-written builder does
+    def compiled(plan):
+        op = plan[0]
+        if op == "S":
+            name, args = plan[1], [instance(a) for a in plan[2]]
+            return lambda m, o: structural(m, name, [a(o) for a in args])
+        if op == "1":
+            obj = instance(plan[1])
+            return lambda m, o: identity(m, obj(o))
+        f = compiled(plan[1])
+        if op == "dagger":
+            return lambda m, o: dagger(f(m, o))
+        g = compiled(plan[2])
+        if op == "tensor":
+            return lambda m, o: tensor(f(m, o), g(m, o))
+        if op == "par":
+            return lambda m, o: par(f(m, o), g(m, o))
+        return lambda m, o: compose(f(m, o), g(m, o))
+
+    built = [compiled(plan) for plan, _, _ in sides]
+
+    def build(ctx):
+        first, *others = (side(ctx.model, ctx.objects) for side in built)
+        return [(first, other) for other in others]
+    return len(free), build
+
+
 # laxor interaction laws
-
-
-@_law("DLDC1a", "a⊗ (λ⊗ ⊗ 1) λ⊗ = (1 ⊗ λ⊗) λ⊗ (a⊕⁻¹)†", 3)
-def _(ctx):
-    a, b, c = ctx.objects
-    lhs = (ctx.S("a_tensor", Dagger(a), Dagger(b), Dagger(c))
-           >> tensor(ctx.S("lam_tensor", a, b), ctx.I(Dagger(c)))
-           >> ctx.S("lam_tensor", Par(a, b), c))
-    rhs = (tensor(ctx.I(Dagger(a)), ctx.S("lam_tensor", b, c))
-           >> ctx.S("lam_tensor", a, Par(b, c))
-           >> dagger(ctx.S("a_par_inv", a, b, c)))
-    return [(lhs, rhs)]
-
-
-@_law("DLDC1b", "a⊕ (λ⊕ ⊕ 1) λ⊕ = (1 ⊕ λ⊕) λ⊕ (a⊗⁻¹)†", 3)
-def _(ctx):
-    a, b, c = ctx.objects
-    lhs = (ctx.S("a_par", Dagger(a), Dagger(b), Dagger(c))
-           >> par(ctx.S("lam_par", a, b), ctx.I(Dagger(c)))
-           >> ctx.S("lam_par", Tensor(a, b), c))
-    rhs = (par(ctx.I(Dagger(a)), ctx.S("lam_par", b, c))
-           >> ctx.S("lam_par", a, Tensor(b, c))
-           >> dagger(ctx.S("a_tensor_inv", a, b, c)))
-    return [(lhs, rhs)]
-
-
-@_law("DLDC2a", "(λ⊤ ⊗ 1) λ⊗ = u⊗L (u⊕L)†", 1)
-def _(ctx):
-    (a,) = ctx.objects
-    lhs = tensor(ctx.S("lam_top"), ctx.I(Dagger(a))) >> ctx.S("lam_tensor", BOT, a)
-    rhs = ctx.S("u_tensor_l", Dagger(a)) >> dagger(ctx.S("u_par_l", a))
-    return [(lhs, rhs)]
-
-
-@_law("DLDC2b", "(λ⊥ ⊕ 1) λ⊕ = u⊕L (u⊗L)†", 1)
-def _(ctx):
-    (a,) = ctx.objects
-    lhs = par(ctx.S("lam_bot"), ctx.I(Dagger(a))) >> ctx.S("lam_par", TOP, a)
-    rhs = ctx.S("u_par_l", Dagger(a)) >> dagger(ctx.S("u_tensor_l", a))
-    return [(lhs, rhs)]
-
-
-@_law("DLDC2c", "(1 ⊗ λ⊤) λ⊗ = u⊗R (u⊕R)†", 1)
-def _(ctx):
-    (a,) = ctx.objects
-    lhs = tensor(ctx.I(Dagger(a)), ctx.S("lam_top")) >> ctx.S("lam_tensor", a, BOT)
-    rhs = ctx.S("u_tensor_r", Dagger(a)) >> dagger(ctx.S("u_par_r", a))
-    return [(lhs, rhs)]
-
-
-@_law("DLDC2d", "(1 ⊕ λ⊥) λ⊕ = u⊕R (u⊗R)†", 1)
-def _(ctx):
-    (a,) = ctx.objects
-    lhs = par(ctx.I(Dagger(a)), ctx.S("lam_bot")) >> ctx.S("lam_par", a, TOP)
-    rhs = ctx.S("u_par_r", Dagger(a)) >> dagger(ctx.S("u_tensor_r", a))
-    return [(lhs, rhs)]
-
-
-@_law("DLDC3a", "δL (λ⊗ ⊕ 1) λ⊕ = (1 ⊗ λ⊕) λ⊗ δR†", 3)
-def _(ctx):
-    a, b, c = ctx.objects
-    lhs = (ctx.S("dl", Dagger(a), Dagger(b), Dagger(c))
-           >> par(ctx.S("lam_tensor", a, b), ctx.I(Dagger(c)))
-           >> ctx.S("lam_par", Par(a, b), c))
-    rhs = (tensor(ctx.I(Dagger(a)), ctx.S("lam_par", b, c))
-           >> ctx.S("lam_tensor", a, Tensor(b, c))
-           >> dagger(ctx.S("dr", a, b, c)))
-    return [(lhs, rhs)]
-
-
-@_law("DLDC3b", "δR (1 ⊕ λ⊗) λ⊕ = (λ⊕ ⊗ 1) λ⊗ δL†", 3)
-def _(ctx):
-    a, b, c = ctx.objects
-    lhs = (ctx.S("dr", Dagger(a), Dagger(b), Dagger(c))
-           >> par(ctx.I(Dagger(a)), ctx.S("lam_tensor", b, c))
-           >> ctx.S("lam_par", a, Par(b, c)))
-    rhs = (tensor(ctx.S("lam_par", a, b), ctx.I(Dagger(c)))
-           >> ctx.S("lam_tensor", Tensor(a, b), c)
-           >> dagger(ctx.S("dl", a, b, c)))
-    return [(lhs, rhs)]
-
-
-@_law("DLDC4a", "ι λ⊗† = (ι ⊕ ι) λ⊕", 2)
-def _(ctx):
-    a, b = ctx.objects
-    lhs = ctx.S("iota", Par(a, b)) >> dagger(ctx.S("lam_tensor", a, b))
-    rhs = par(ctx.S("iota", a), ctx.S("iota", b)) >> ctx.S("lam_par", Dagger(a), Dagger(b))
-    return [(lhs, rhs)]
-
-
-@_law("DLDC4b", "ι λ⊕† = (ι ⊗ ι) λ⊗", 2)
-def _(ctx):
-    a, b = ctx.objects
-    lhs = ctx.S("iota", Tensor(a, b)) >> dagger(ctx.S("lam_par", a, b))
-    rhs = tensor(ctx.S("iota", a), ctx.S("iota", b)) >> ctx.S("lam_tensor", Dagger(a), Dagger(b))
-    return [(lhs, rhs)]
-
-
-@_law("DLDC5a", "ι_⊥ λ⊤† = λ⊥", 0)
-def _(ctx):
-    lhs = ctx.S("iota", BOT) >> dagger(ctx.S("lam_top"))
-    return [(lhs, ctx.S("lam_bot"))]
-
-
-@_law("DLDC5b", "ι_⊤ λ⊥† = λ⊤", 0)
-def _(ctx):
-    lhs = ctx.S("iota", TOP) >> dagger(ctx.S("lam_bot"))
-    return [(lhs, ctx.S("lam_top"))]
-
-
-@_law("DLDC6", "ι_{A†} = (ι_A⁻¹)†", 1)
-def _(ctx):
-    (a,) = ctx.objects
-    return [(ctx.S("iota", Dagger(a)), dagger(ctx.S("iota_inv", a)))]
-
-
-@_law("DLDC7a", "λ⊗ c⊕† = c⊗ λ⊗", 2)
-def _(ctx):
-    a, b = ctx.objects
-    lhs = ctx.S("lam_tensor", a, b) >> dagger(ctx.S("c_par", b, a))
-    rhs = ctx.S("c_tensor", Dagger(a), Dagger(b)) >> ctx.S("lam_tensor", b, a)
-    return [(lhs, rhs)]
-
-
-@_law("DLDC7b", "λ⊕ c⊗† = c⊕ λ⊕", 2)
-def _(ctx):
-    a, b = ctx.objects
-    lhs = ctx.S("lam_par", a, b) >> dagger(ctx.S("c_tensor", b, a))
-    rhs = ctx.S("c_par", Dagger(a), Dagger(b)) >> ctx.S("lam_par", b, a)
-    return [(lhs, rhs)]
-
-
-# ---------------------------------------------------------------------------
+_law("DLDC1a", "a⊗ (λ⊗ ⊗ 1) λ⊗ = (1 ⊗ λ⊗) λ⊗ (a⊕⁻¹)†")
+_law("DLDC1b", "a⊕ (λ⊕ ⊕ 1) λ⊕ = (1 ⊕ λ⊕) λ⊕ (a⊗⁻¹)†")
+_law("DLDC2a", "(λ⊤ ⊗ 1) λ⊗ = u⊗L (u⊕L)†")
+_law("DLDC2b", "(λ⊥ ⊕ 1) λ⊕ = u⊕L (u⊗L)†")
+_law("DLDC2c", "(1 ⊗ λ⊤) λ⊗ = u⊗R (u⊕R)†")
+_law("DLDC2d", "(1 ⊕ λ⊥) λ⊕ = u⊕R (u⊗R)†")
+_law("DLDC3a", "δL (λ⊗ ⊕ 1) λ⊕ = (1 ⊗ λ⊕) λ⊗ δR†")
+_law("DLDC3b", "δR (1 ⊕ λ⊗) λ⊕ = (λ⊕ ⊗ 1) λ⊗ δL†")
+_law("DLDC4a", "ι λ⊗† = (ι ⊕ ι) λ⊕")
+_law("DLDC4b", "ι λ⊕† = (ι ⊗ ι) λ⊗")
+_law("DLDC5a", "ι_⊥ λ⊤† = λ⊥")
+_law("DLDC5b", "ι_⊤ λ⊥† = λ⊤")
+_law("DLDC6", "ι_{A†} = (ι_A⁻¹)†")
+_law("DLDC7a", "λ⊗ c⊕† = c⊗ λ⊗")
+_law("DLDC7b", "λ⊕ c⊗† = c⊕ λ⊕")
 # mix, mixor, snakes
-
-
-@_law("DMIX", "m λ⊤ = λ⊥ m†", 0)
-def _(ctx):
-    lhs = ctx.S("m") >> ctx.S("lam_top")
-    rhs = ctx.S("lam_bot") >> dagger(ctx.S("m"))
-    return [(lhs, rhs)]
-
-
-@_law("MXDAG", "mx λ⊕ = λ⊗ mx†", 2)
-def _(ctx):
-    a, b = ctx.objects
-    lhs = ctx.S("mx", Dagger(a), Dagger(b)) >> ctx.S("lam_par", a, b)
-    rhs = ctx.S("lam_tensor", a, b) >> dagger(ctx.S("mx", a, b))
-    return [(lhs, rhs)]
-
-
-@_law("MXDEF",
-      "(1 ⊗ (u⊕L)⁻¹)(1 ⊗ (m ⊕ 1)) δL (u⊗R ⊕ 1) = "
-      "((u⊕R)⁻¹ ⊗ 1)((1 ⊕ m) ⊗ 1) δR (1 ⊕ u⊗L)", 2)
-def _(ctx):
-    a, b = ctx.objects
-    left = (tensor(ctx.I(a), ctx.S("u_par_l_inv", b))
-            >> tensor(ctx.I(a), par(ctx.S("m"), ctx.I(b)))
-            >> ctx.S("dl", a, TOP, b)
-            >> par(ctx.S("u_tensor_r", a), ctx.I(b)))
-    right = (tensor(ctx.S("u_par_r_inv", a), ctx.I(b))
-             >> tensor(par(ctx.I(a), ctx.S("m")), ctx.I(b))
-             >> ctx.S("dr", a, TOP, b)
-             >> par(ctx.I(a), ctx.S("u_tensor_l", b)))
-    # both displayed composites must agree, and both must be the mixor
-    return [(left, right), (left, ctx.S("mx", a, b))]
-
-
-@_law("SNAKE-L", "(u⊗L)⁻¹ (η ⊗ 1) δR (1 ⊕ ε) u⊕R = 1", 1, needs_unitary=True)
-def _(ctx):
-    (a,) = ctx.objects
-    rhs = (ctx.S("u_tensor_l_inv", a)
-           >> tensor(ctx.S("eta", a), ctx.I(a))
-           >> ctx.S("dr", a, Dual(a), a)
-           >> par(ctx.I(a), ctx.S("eps", a))
-           >> ctx.S("u_par_r", a))
-    return [(ctx.I(a), rhs)]
-
-
-@_law("SNAKE-R", "(u⊗R)⁻¹ (1 ⊗ η) δL (ε ⊕ 1) u⊕L = 1", 1, needs_unitary=True)
-def _(ctx):
-    (a,) = ctx.objects
-    rhs = (ctx.S("u_tensor_r_inv", Dual(a))
-           >> tensor(ctx.I(Dual(a)), ctx.S("eta", a))
-           >> ctx.S("dl", Dual(a), a, Dual(a))
-           >> par(ctx.S("eps", a), ctx.I(Dual(a)))
-           >> ctx.S("u_par_l", Dual(a)))
-    return [(ctx.I(Dual(a)), rhs)]
-
-
-# ---------------------------------------------------------------------------
+_law("DMIX", "m λ⊤ = λ⊥ m†")
+_law("MXDAG", "mx λ⊕ = λ⊗ mx†")
+_law("MXDEF", "(1 ⊗ (u⊕L)⁻¹)(1 ⊗ (m ⊕ 1)) δL (u⊗R ⊕ 1) = "
+     "((u⊕R)⁻¹ ⊗ 1)((1 ⊕ m) ⊗ 1) δR (1 ⊕ u⊗L) = mx")
+_law("SNAKE-L", "(u⊗L)⁻¹ (η ⊗ 1) δR (1 ⊕ ε) u⊕R = 1", needs_unitary=True)
+_law("SNAKE-R", "(u⊗R)⁻¹ (1 ⊗ η) δL (ε ⊕ 1) u⊕L = 1", needs_unitary=True)
 # unitary structure
-
-
-@_law("U2", "φ_{A†} = ((φ_A)⁻¹)†", 1, needs_unitary=True)
-def _(ctx):
-    (a,) = ctx.objects
-    return [(ctx.S("phi", Dagger(a)), dagger(ctx.S("phi_inv", a)))]
-
-
-@_law("U3", "φ_A φ_{A†} = ι", 1, needs_unitary=True)
-def _(ctx):
-    (a,) = ctx.objects
-    lhs = ctx.S("phi", a) >> ctx.S("phi", Dagger(a))
-    return [(lhs, ctx.S("iota", a))]
-
-
-@_law("U4a", "λ⊥ (φ⊤)⁻¹ = m", 0, needs_unitary=True)
-def _(ctx):
-    lhs = ctx.S("lam_bot") >> ctx.S("phi_inv", TOP)
-    return [(lhs, ctx.S("m"))]
-
-
-@_law("U4b", "φ⊥ λ⊤⁻¹ = m", 0, needs_unitary=True)
-def _(ctx):
-    lhs = ctx.S("phi", BOT) >> ctx.S("lam_top_inv")
-    return [(lhs, ctx.S("m"))]
-
-
-@_law("U5a", "(φ_A ⊗ φ_B) λ⊗ = mx φ_{A⊕B}", 2, needs_unitary=True)
-def _(ctx):
-    a, b = ctx.objects
-    lhs = tensor(ctx.S("phi", a), ctx.S("phi", b)) >> ctx.S("lam_tensor", a, b)
-    rhs = ctx.S("mx", a, b) >> ctx.S("phi", Par(a, b))
-    return [(lhs, rhs)]
-
-
-@_law("U5b", "φ_{A⊗B} λ⊕⁻¹ (φ_A⁻¹ ⊕ φ_B⁻¹) = mx", 2, needs_unitary=True,
-      note="undisplayed (b)-form; a failure flags the reading, not the build")
-def _(ctx):
-    a, b = ctx.objects
-    lhs = (ctx.S("phi", Tensor(a, b))
-           >> ctx.S("lam_par_inv", a, b)
-           >> par(ctx.S("phi_inv", a), ctx.S("phi_inv", b)))
-    return [(lhs, ctx.S("mx", a, b))]
-
-
-@_law("UDUALa", "λ⊤ ε† λ⊕⁻¹ = η (φ ⊕ φ) c⊕", 1, needs_unitary=True)
-def _(ctx):
-    (a,) = ctx.objects
-    lhs = (ctx.S("lam_top")
-           >> dagger(ctx.S("eps", a))
-           >> ctx.S("lam_par_inv", Dual(a), a))
-    rhs = (ctx.S("eta", a)
-           >> par(ctx.S("phi", a), ctx.S("phi", Dual(a)))
-           >> ctx.S("c_par", Dagger(a), Dagger(Dual(a))))
-    return [(lhs, rhs)]
-
-
-@_law("UDUALb", "c⊗ ε λ⊥ = (φ ⊗ φ) λ⊗ η†", 1, needs_unitary=True,
-      note="undisplayed (b)-form; a failure flags the reading, not the build")
-def _(ctx):
-    (a,) = ctx.objects
-    lhs = ctx.S("c_tensor", a, Dual(a)) >> ctx.S("eps", a) >> ctx.S("lam_bot")
-    rhs = (tensor(ctx.S("phi", a), ctx.S("phi", Dual(a)))
-           >> ctx.S("lam_tensor", a, Dual(a))
-           >> dagger(ctx.S("eta", a)))
-    return [(lhs, rhs)]
+_UNDISPLAYED = ("undisplayed (b)-form; a failure flags the reading, not the "
+                "build")
+_law("U2", "φ_{A†} = ((φ_A)⁻¹)†", needs_unitary=True)
+_law("U3", "φ_A φ_{A†} = ι", needs_unitary=True)
+_law("U4a", "λ⊥ (φ⊤)⁻¹ = m", needs_unitary=True)
+_law("U4b", "φ⊥ λ⊤⁻¹ = m", needs_unitary=True)
+_law("U5a", "(φ_A ⊗ φ_B) λ⊗ = mx φ_{A⊕B}", needs_unitary=True)
+_law("U5b", "φ_{A⊗B} λ⊕⁻¹ (φ_A⁻¹ ⊕ φ_B⁻¹) = mx", needs_unitary=True,
+     note=_UNDISPLAYED)
+_law("UDUALa", "λ⊤ ε† λ⊕⁻¹ = η (φ ⊕ φ) c⊕", needs_unitary=True)
+_law("UDUALb", "c⊗ ε λ⊥ = (φ ⊗ φ) λ⊗ η†", needs_unitary=True,
+     note=_UNDISPLAYED)
+# sliding the mixor; preservator hexagons for unitary objects
+_law("MXSLIDE-MX", "mx⁻¹ (1 ⊗ mx⁻¹) = a⊕ mx⁻¹ (mx⁻¹ ⊗ 1) a⊗⁻¹",
+     needs_unitary=True)
+_law("RHO-TP-a", "m⊗ M(φ) ρ (m⊗)† = (M(φ) ⊗ M(φ)) (ρ ⊗ ρ) λ⊗ mx†",
+     needs_unitary=True)
+_law("RHO-TP-b", "n⊕⁻¹ M(φ) ρ = (M(φ) ⊕ M(φ)) (ρ ⊕ ρ) λ⊕ (mx⁻¹)† n⊕†",
+     needs_unitary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -524,58 +516,11 @@ def _(ctx):
     return [(lhs, rhs)]
 
 
-@_law("MXSLIDE-MX", "mx⁻¹ (1 ⊗ mx⁻¹) = a⊕ mx⁻¹ (mx⁻¹ ⊗ 1) a⊗⁻¹", 3,
-      needs_unitary=True)
-def _(ctx):
-    a, b, c = ctx.objects
-    lhs = (ctx.S("mx_inv", a, Par(b, c))
-           >> tensor(ctx.I(a), ctx.S("mx_inv", b, c)))
-    rhs = (ctx.S("a_par", a, b, c)
-           >> ctx.S("mx_inv", Par(a, b), c)
-           >> tensor(ctx.S("mx_inv", a, b), ctx.I(c))
-           >> ctx.S("a_tensor_inv", a, b, c))
-    return [(lhs, rhs)]
-
-
 @_law("IOTA-NAT", "ι f†† = f ι", 0)
 def _(ctx):
     a, b, f = ctx.arrow()
     lhs = ctx.S("iota", a) >> dagger(dagger(f))
     rhs = f >> ctx.S("iota", b)
-    return [(lhs, rhs)]
-
-
-# ---------------------------------------------------------------------------
-# preservator hexagons for unitary objects
-
-
-@_law("RHO-TP-a", "m⊗ M(φ) ρ (m⊗)† = (M(φ) ⊗ M(φ)) (ρ ⊗ ρ) λ⊗ mx†", 2,
-      needs_unitary=True)
-def _(ctx):
-    c, d = ctx.objects
-    lhs = (ctx.S("m_tensor", c, d)
-           >> ctx.S("phi", Tensor(c, d))
-           >> ctx.S("rho", Tensor(c, d))
-           >> dagger(ctx.S("m_tensor", c, d)))
-    rhs = (tensor(ctx.S("phi", c), ctx.S("phi", d))
-           >> tensor(ctx.S("rho", c), ctx.S("rho", d))
-           >> ctx.S("lam_tensor", c, d)
-           >> dagger(ctx.S("mx", c, d)))
-    return [(lhs, rhs)]
-
-
-@_law("RHO-TP-b", "n⊕⁻¹ M(φ) ρ = (M(φ) ⊕ M(φ)) (ρ ⊕ ρ) λ⊕ (mx⁻¹)† n⊕†", 2,
-      needs_unitary=True)
-def _(ctx):
-    c, d = ctx.objects
-    lhs = (ctx.S("n_par_inv", c, d)
-           >> ctx.S("phi", Par(c, d))
-           >> ctx.S("rho", Par(c, d)))
-    rhs = (par(ctx.S("phi", c), ctx.S("phi", d))
-           >> par(ctx.S("rho", c), ctx.S("rho", d))
-           >> ctx.S("lam_par", c, d)
-           >> dagger(ctx.S("mx_inv", c, d))
-           >> dagger(ctx.S("n_par", c, d)))
     return [(lhs, rhs)]
 
 

@@ -807,6 +807,12 @@ class TestPurify:
         with pytest.raises(NotPSD):
             purify(bad)
 
+    def test_the_psd_floor_is_inclusive_and_relative(self):
+        # the floor is -1e-9 times the largest |eigenvalue| (at least 1)
+        for diag in ([1.0, -1e-9], [10.0, -5e-9]):
+            c = cpinf.ChoiMatrix(np.diag(diag).astype(complex), 1, 2)
+            assert purify(c).ancilla == Base(1)
+
 
 class TestInitiality:
     def test_canonical_to_itself(self):

@@ -12,6 +12,7 @@ from mucinf.errors import DomCodMismatch, TypingError, UnsupportedInModel
 from mucinf.morphisms import Morphism, deviation
 from mutants import registered
 from mucinf.objects import TOP, Base, Dagger, Dual, Par, Tensor
+from mucinf.structural import structural
 
 finite_reals = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 complexes = st.builds(complex, finite_reals, finite_reals)
@@ -182,9 +183,10 @@ class TestKrausValid:
     # each body below evaluates dom = ancilla * cod, so only the Kraus
     # condition refuses it, and kraus_new does so before any use
     def test_zero_ratio_is_not_an_ancilla(self):
-        for c, cp in ((0, 3), (0, 0)):
+        # 1e-13 is 0 to same_object, and so no unitary object, as for phi
+        for c, r, cp in ((0, 0, 3), (0, 0, 0), (1e-13, 1e-13, 1)):
             with pytest.raises(TypingError, match="not a Kraus map"):
-                cp_kraus(c, 0, cp)
+                cp_kraus(c, r, cp)
 
     def test_complex_ratio_rejected(self):
         for c, r, cp in ((2j, 2j, 1), (2, 2j, -1j), (0, 1 + 1j, 0)):
@@ -238,6 +240,13 @@ def test_grid_against_projective_oracle():
             for cp in cs:
                 assert kraus_valid(c, r, cp) == projective_oracle(c, r, cp), \
                     (c, r, cp)
+
+
+def test_phi_reads_a_real_relative_to_its_magnitude():
+    # an imaginary part of 1e-7 at 1e6 is rounding; 1e-13 is 0
+    assert structural(CPLANE, "phi", [Base(1e6 + 1e-7j)]).payload is None
+    with pytest.raises(UnsupportedInModel, match="nonzero real"):
+        structural(CPLANE, "phi", [Base(1e-13)])
 
 
 def test_zero_has_no_dual():

@@ -22,6 +22,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from mucinf import laws
 from mucinf.cli import main
 from mucinf.cpinf import (distinct_pair, equiv_testmap_oracle,
                           equivalent_variant, random_channel)
@@ -87,13 +88,54 @@ def test_mutant_reports_are_pinned_whole():
 
 # sha256 of ``mucinf laws-list --seed 0`` stdout: every entry's id, anchor,
 # arity, models, kind and note, coherence laws first, each group by id
-LAWS_LIST_DIGEST = "8448b007950c74fe"
+LAWS_LIST_DIGEST = "920471ee9da17be4"
 
 
 def test_laws_list_bytes_are_pinned(capsys):
     assert main(["laws-list", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == LAWS_LIST_DIGEST
+
+
+# the coherence laws registered from their anchor text alone
+EQUATION_LAWS = (
+    "DLDC1a", "DLDC1b", "DLDC2a", "DLDC2b", "DLDC2c", "DLDC2d", "DLDC3a",
+    "DLDC3b", "DLDC4a", "DLDC4b", "DLDC5a", "DLDC5b", "DLDC6", "DLDC7a",
+    "DLDC7b", "DMIX", "MXDAG", "MXDEF", "SNAKE-L", "SNAKE-R", "U2", "U3",
+    "U4a", "U4b", "U5a", "U5b", "UDUALa", "UDUALb", "MXSLIDE-MX",
+    "RHO-TP-a", "RHO-TP-b")
+# sha256 over every pair of sides the laws above compare, in mat, cplane
+# and each mat model of MUTANTS, at the objects entry.sample draws from
+# seeds 0-9: per pair, its two sides' (repr(dom), repr(cod), payload
+# bytes), sorted; taken from the hand-written builders these laws had
+SIDES_DIGEST = "5f2eda73faed4ee8"
+
+
+def _side(f):
+    payload = b"" if f.payload is None else np.asarray(f.payload).tobytes()
+    return repr(f.dom), repr(f.cod), payload
+
+
+def test_equation_sides_are_bit_identical(monkeypatch):
+    pairs = []
+    monkeypatch.setattr(laws, "deviation",
+                        lambda f, g: pairs.append((f, g)) or 0.0)
+    models = [get_model("mat"), get_model("cplane")]
+    models += [model for model in MUTANTS if model.base == "mat"]
+    digest = hashlib.sha256()
+    for model in models:
+        with registered(model) if model in MUTANTS else nullcontext():
+            for law_id in EQUATION_LAWS:
+                entry = laws.ENTRIES[law_id]
+                for seed in range(10):
+                    rng = np.random.default_rng(seed)
+                    entry.trial(model, rng, 1e-9, entry.sample(model, rng))
+                    for pair in pairs:
+                        for dom, cod, payload in sorted(map(_side, pair)):
+                            digest.update(json.dumps([dom, cod]).encode())
+                            digest.update(payload)
+                    pairs.clear()
+    assert digest.hexdigest()[:16] == SIDES_DIGEST
 
 
 # sha256 over every test-map oracle call below: its whole output and the

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucinf import laws
-from mucinf.errors import UnknownLaw, UnsupportedInModel
+from mucinf.errors import MucinfError, UnknownLaw, UnsupportedInModel
 from mucinf.laws import catalog, check_law, run_trials
 from mucinf.matc import MatModel, _freeze
 from mucinf.morphisms import get_model
 from mucinf.objects import Base
+from mucinf.structural import structural
 from mucinf.suite import SuiteConfig, run_suite
 from mutants import MUTANTS, CrashingCup, NudgedLaxor, NudgedMix, registered
 
@@ -35,6 +36,72 @@ def test_u5a_anchor_string():
 def test_undisplayed_forms_are_flagged():
     assert catalog()["U5b"].note is not None
     assert catalog()["UDUALb"].note is not None
+
+
+# ---------------------------------------------------------------------------
+# a law is its anchor text
+
+# the arities the hand-written builders of these laws declared
+BUILDER_ARITIES = {
+    "DLDC1a": 3, "DLDC1b": 3, "DLDC2a": 1, "DLDC2b": 1, "DLDC2c": 1,
+    "DLDC2d": 1, "DLDC3a": 3, "DLDC3b": 3, "DLDC4a": 2, "DLDC4b": 2,
+    "DLDC5a": 0, "DLDC5b": 0, "DLDC6": 1, "DLDC7a": 2, "DLDC7b": 2,
+    "DMIX": 0, "MXDAG": 2, "MXDEF": 2, "SNAKE-L": 1, "SNAKE-R": 1, "U2": 1,
+    "U3": 1, "U4a": 0, "U4b": 0, "U5a": 2, "U5b": 2, "UDUALa": 1,
+    "UDUALb": 1, "MXSLIDE-MX": 3, "RHO-TP-a": 2, "RHO-TP-b": 2}
+# the laws whose anchors name arrows f, g or the functor F
+BUILT = {"MIXPRES", "FF1", "FF2", "FF3", "FF-MIX", "FF-ISOMIX", "PRES",
+         "MXSLIDE-NAT", "IOTA-NAT"}
+
+
+def test_each_equation_infers_its_builders_arity():
+    for law_id, arity in BUILDER_ARITIES.items():
+        assert laws._equation(catalog()[law_id].anchor)[0] == arity, law_id
+        assert catalog()[law_id].arity == arity, law_id
+
+
+@pytest.mark.parametrize("text", [
+    "q = 1",                   # a token outside the grammar
+    "a⊗ (λ⊗ ⊗ 1 λ⊗ = 1",       # unbalanced
+    "(mx λ⊕)⁻¹ = 1",           # an inverse of a composite
+    "λ⊗ = λ⊕",                 # ill-typed: a tensor is no par
+    "a⊗ = 1",                  # A is no A ⊗ B
+    "η mx⁻¹ c⊗ ε = m⁻¹",       # an object that no end of the law binds
+    "c⊗⁻¹ = c⊗",               # c⊗ has no registered inverse
+    "λ⊗",                      # no equation
+])
+def test_an_unreadable_anchor_is_refused(text):
+    with pytest.raises(MucinfError):
+        laws._equation(text)
+    # and so is its registration, with nothing registered
+    with pytest.raises(MucinfError):
+        laws._law("NOT-A-LAW", text)
+    assert "NOT-A-LAW" not in laws.ENTRIES
+
+
+def test_a_builder_is_kept_only_for_an_anchor_the_grammar_refuses():
+    refused = set()
+    for law_id, entry in coherence_laws():
+        try:
+            laws._equation(entry.anchor)
+        except MucinfError:
+            refused.add(law_id)
+    assert refused == BUILT
+    assert {law_id for law_id, _ in coherence_laws()} == (
+        BUILT | set(BUILDER_ARITIES))
+    # registering a builder for an anchor the grammar reads is refused
+    with pytest.raises(MucinfError, match="no builder"):
+        laws._law("NOT-A-LAW", "m λ⊤ = λ⊥ m†", 0)
+    assert "NOT-A-LAW" not in laws.ENTRIES
+
+
+def test_a_chained_anchor_compares_the_first_side_with_each_other():
+    arity, build = laws._equation(catalog()["MXDEF"].anchor)
+    ctx = laws.LawContext(get_model("mat"), [Base(2), Base(3)], None)
+    (left, right), (left2, mx) = build(ctx)
+    assert left is left2 and mx.dom == left.dom and mx.cod == left.cod
+    assert np.array_equal(mx.payload,
+                          structural("mat", "mx", [Base(2), Base(3)]).payload)
 
 
 def test_stationary_dagger_example():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from mucinf.cpinf import equiv_decide, kraus_new, random_channel
 from mucinf.errors import (DimensionOverflow, NotHermitian, ShapeMismatch,
                            TypingError)
-from mucinf.matc import (DIM_LIMIT, ENTRY_LIMIT, MAT, ChoiMatrix, _freeze,
+from mucinf.matc import (DIM_LIMIT, ENTRY_LIMIT, MAT, ChoiMatrix,
+                         _check_size, _freeze,
                          apply_channel, bell_counit, bell_unit,
                          check_hermitian, choi, choi_factor,
                          commutation_perm,
@@ -246,6 +247,11 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_a_side_at_the_limit_passes(self):
+        _check_size(DIM_LIMIT, 1, "matrix")
+        with pytest.raises(DimensionOverflow):
+            _check_size(DIM_LIMIT + 1, 1, "matrix")
+
     def test_choi_bounded_before_allocation(self):
         # a 5000 x 1 body with ancilla 1 would glue to a 5000 x 5000 matrix
         body = _freeze(np.ones((5000, 1)))
@@ -324,6 +330,9 @@ class TestSizeGuard:
         big = choi_factor(_freeze(np.array([[1e100], [0.0]])), 1, 2)
         zero = choi_factor(_freeze(np.zeros((2, 1))), 1, 2)
         assert big.deviation(zero) == pytest.approx(1e200)
+        # a rescaled norm other than 1: D is 1e200 in each of 4 entries
+        both = choi_factor(_freeze(np.array([[1e100], [1e100]])), 1, 2)
+        assert both.deviation(zero) == 2e200
 
     def test_largest_workload_payload_fits(self):
         assert mat_identity(512).shape == (512, 512)
